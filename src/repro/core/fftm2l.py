@@ -22,7 +22,8 @@ and apply with FFTs:
 - one inverse transform per *target* box.
 
 The kernel tensors depend only on (level, anchor offset); like the dense
-operators they rescale across levels for homogeneous kernels.
+operators they are rescaled from shared unit-box bases for homogeneous
+kernels.
 
 The per-box transforms themselves are *not* executed as FFTs: the
 embedded grid is zero except at the ``n_surf`` surface nodes (and only
@@ -36,10 +37,12 @@ so the circulant convolution identity is untouched.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from repro.core.plan import OCTANT_VECTORS, BufferPool
-from repro.core.precompute import OperatorCache
+from repro.core.precompute import OperatorBases, OperatorCache, freeze, v_offset
 from repro.core.surfaces import surface_lattice_indices
 
 #: Frequency-block and parent-pair chunk sizes of the blocked Hadamard
@@ -50,78 +53,73 @@ HADAMARD_FREQ_BLOCK = 48
 HADAMARD_CHUNK = 512
 
 
+@lru_cache(maxsize=4)
+def dft_operators(p: int) -> tuple[np.ndarray, ...]:
+    """Dense surface-node DFT operators (one read-only set per ``p``).
+
+    Returns ``(F_re, F_im, G_re, G_im)``:
+
+    - ``F_* (n_surf, nfreq)``: forward map, ``hat = vals @ (F_re +
+      i F_im)`` equals ``rfftn`` of the surface-scattered grid
+      (only surface nodes are non-zero, so the DFT sum collapses to
+      these columns of the full transform).
+    - ``G_* (nfreq, n_surf)``: inverse map with the Hermitian
+      weights of the real transform folded in, ``vals = Re(acc) @
+      G_re - Im(acc) @ G_im`` equals ``irfftn`` sampled at the
+      surface nodes.
+    """
+    m = 2 * p
+    kx, ky, kz = np.meshgrid(
+        np.arange(m), np.arange(m), np.arange(m // 2 + 1), indexing="ij"
+    )
+    freqs = np.stack([kx, ky, kz], axis=-1).reshape(-1, 3)
+    lattice = surface_lattice_indices(p)  # (n_surf, 3)
+    phase = (-2.0 * np.pi / m) * (lattice @ freqs.T)  # (n_surf, nfreq)
+    F = np.exp(1j * phase)
+    # rfft stores one of each conjugate pair for 0 < kz < m/2;
+    # those frequencies count twice in the inverse sum.
+    w = np.where((freqs[:, 2] == 0) | (freqs[:, 2] == m // 2), 1.0, 2.0)
+    G = (np.conj(F) * w[None, :]).T / float(m**3)  # (nfreq, n_surf)
+    return tuple(
+        freeze(np.ascontiguousarray(x)) for x in (F.real, F.imag, G.real, G.imag)
+    )
+
+
+@lru_cache(maxsize=4)
+def dft_operators_t(p: int) -> tuple[np.ndarray, ...]:
+    """Contiguous transposes of :func:`dft_operators`.
+
+    The blocked Hadamard stage keeps its spectra frequency-leading
+    (``(nfreq, ...)``); the matching forward/inverse GEMMs then put
+    the DFT operator on the *left*, which wants the transposed
+    factors contiguous.
+    """
+    return tuple(freeze(np.ascontiguousarray(a.T)) for a in dft_operators(p))
+
+
 class FFTM2L:
-    """Kernel-tensor cache and grid scatter/gather for FFT M2L."""
+    """Kernel-spectrum access and grid scatter/gather for FFT M2L.
+
+    The spectra live in the cache's operator bases
+    (:meth:`OperatorCache.operator_bases`): shared per configuration for
+    homogeneous kernels, per level for the others.
+    """
 
     def __init__(self, cache: OperatorCache) -> None:
         self.cache = cache
-        self.kernel = cache.kernel
         self.p = cache.p
         self.m = 2 * cache.p  # circulant embedding size
-        lattice = surface_lattice_indices(self.p)
-        self._surf_ijk = (lattice[:, 0], lattice[:, 1], lattice[:, 2])
         # displacement grid d(i) for circulant index i: i -> i or i - m,
         # with the unused index i == p zeroed out (no valid (t, s) pair
         # has t - s == +-p).
         idx = np.arange(self.m)
         self._disp = np.where(idx < self.p, idx, idx - self.m)
         self._dead = self.p  # circulant index that never contributes
-        self._tensors: dict[tuple[int, tuple[int, int, int]], np.ndarray] = {}
-        self._combos: dict[tuple[int, tuple[int, int, int]], np.ndarray] = {}
-        self._combos_real: dict[
-            tuple[int, tuple[int, int, int]], np.ndarray
-        ] = {}
-        self._dft: tuple[np.ndarray, ...] | None = None
-        self._dft_t: tuple[np.ndarray, ...] | None = None
 
-    def _dft_operators(self) -> tuple[np.ndarray, ...]:
-        """Dense surface-node DFT operators (built once, ~a few MB).
-
-        Returns ``(F_re, F_im, G_re, G_im)``:
-
-        - ``F_* (n_surf, nfreq)``: forward map, ``hat = vals @ (F_re +
-          i F_im)`` equals ``rfftn`` of the surface-scattered grid
-          (only surface nodes are non-zero, so the DFT sum collapses to
-          these columns of the full transform).
-        - ``G_* (nfreq, n_surf)``: inverse map with the Hermitian
-          weights of the real transform folded in, ``vals = Re(acc) @
-          G_re - Im(acc) @ G_im`` equals ``irfftn`` sampled at the
-          surface nodes.
-        """
-        if self._dft is None:
-            m, mf = self.m, self.m // 2 + 1
-            kx, ky, kz = np.meshgrid(
-                np.arange(m), np.arange(m), np.arange(mf), indexing="ij"
-            )
-            freqs = np.stack([kx, ky, kz], axis=-1).reshape(-1, 3)
-            lattice = np.stack(self._surf_ijk, axis=1)  # (n_surf, 3)
-            phase = (-2.0 * np.pi / m) * (lattice @ freqs.T)  # (n_surf, nfreq)
-            F = np.exp(1j * phase)
-            # rfft stores one of each conjugate pair for 0 < kz < m/2;
-            # those frequencies count twice in the inverse sum.
-            w = np.where((freqs[:, 2] == 0) | (freqs[:, 2] == m // 2), 1.0, 2.0)
-            G = (np.conj(F) * w[None, :]).T / float(m**3)  # (nfreq, n_surf)
-            self._dft = (
-                np.ascontiguousarray(F.real),
-                np.ascontiguousarray(F.imag),
-                np.ascontiguousarray(G.real),
-                np.ascontiguousarray(G.imag),
-            )
-        return self._dft
-
-    def _dft_operators_t(self) -> tuple[np.ndarray, ...]:
-        """Contiguous transposes of the DFT operators.
-
-        The blocked Hadamard stage keeps its spectra frequency-leading
-        (``(nfreq, ...)``); the matching forward/inverse GEMMs then put
-        the DFT operator on the *left*, which wants the transposed
-        factors contiguous.
-        """
-        if self._dft_t is None:
-            self._dft_t = tuple(
-                np.ascontiguousarray(a.T) for a in self._dft_operators()
-            )
-        return self._dft_t
+    @property
+    def kernel(self):
+        """The cache's kernel, read live like the cache reads it."""
+        return self.cache.kernel
 
     # -- kernel tensors ------------------------------------------------------
 
@@ -133,21 +131,23 @@ class FFTM2L:
         Returns a complex array of shape
         ``(target_dof, source_dof, m, m, m//2 + 1)``.
         """
-        if max(abs(o) for o in offset) < 2:
-            raise ValueError(f"offset {offset} is adjacent; not a V-list pair")
-        h = self.kernel.homogeneity
-        key_level = 0 if h is not None else level
-        key = (key_level, tuple(int(o) for o in offset))
-        if key not in self._tensors:
-            self._tensors[key] = self._build_tensor(key_level, offset)
-        base = self._tensors[key]
-        if h is None or level == key_level:
-            return base
-        return base * (2.0 ** (key_level - level)) ** h
+        offset = v_offset(offset)
+        bases, key, a = self.cache.operator_bases(level, 0)
+        return self.cache.rescale(self._tensor(bases, key, offset), a, 1)
 
-    def _build_tensor(self, level: int, offset: tuple[int, int, int]) -> np.ndarray:
+    def _tensor(
+        self, bases: OperatorBases, key: int, offset: tuple[int, int, int]
+    ) -> np.ndarray:
+        """Stored unscaled kernel spectrum of one offset at key level."""
+        T = bases.tensors.get((key, offset))
+        if T is None:
+            T = bases.tensors[(key, offset)] = freeze(
+                self._build_tensor(bases.half_width(key), offset)
+            )
+        return T
+
+    def _build_tensor(self, r: float, offset: tuple[int, int, int]) -> np.ndarray:
         m, p = self.m, self.p
-        r = self.cache.half_width(level)
         spacing = 2.0 * self.cache.inner * r / (p - 1)
         delta = np.asarray(offset, dtype=np.float64) * (2.0 * r)
         d = self._disp.astype(np.float64)
@@ -162,48 +162,39 @@ class FFTM2L:
         grid[:, :, :, :, self._dead] = 0.0
         return np.fft.rfftn(grid, axes=(-3, -2, -1))
 
-    def combo_tensor_hat(
-        self, level: int, po: tuple[int, int, int]
+    def _combo_hat(
+        self, bases: OperatorBases, key: int, po: tuple[int, int, int]
     ) -> np.ndarray:
         """Frequency-major octant mixing matrix of one parent offset.
 
         For a parent pair at anchor offset ``po`` the child pair
         ``(octant ot, octant os)`` sits at offset
         ``2 po + OCTANT_VECTORS[ot] - OCTANT_VECTORS[os]``; entry
-        ``[f, ot * qd + q, os * md + m]`` holds that offset's kernel
-        tensor at frequency ``f`` (zero where the offset is adjacent, so
-        non-V child pairs contribute nothing).  Shape
-        ``(nfreq, 8 * target_dof, 8 * source_dof)``; cached per
-        ``(level, po)`` with the same homogeneity rescaling as
-        :meth:`kernel_tensor_hat`.
+        ``[f, ot * qd + q, os * md + m]`` holds that offset's unscaled
+        key-level kernel tensor at frequency ``f`` (zero where the
+        offset is adjacent, so non-V child pairs contribute nothing).
+        Shape ``(nfreq, 8 * target_dof, 8 * source_dof)``; built from
+        the stored spectra and not retained.
         """
-        h = self.kernel.homogeneity
-        key_level = 0 if h is not None else level
-        key = (key_level, tuple(int(x) for x in po))
-        M = self._combos.get(key)
-        if M is None:
-            qd, md = self.kernel.target_dof, self.kernel.source_dof
-            nfreq = self.m * self.m * (self.m // 2 + 1)
-            M = np.zeros((nfreq, 8 * qd, 8 * md), dtype=np.complex128)
-            pv = np.asarray(key[1], dtype=np.int64)
-            for ot in range(8):
-                for os_ in range(8):
-                    off = 2 * pv + OCTANT_VECTORS[ot] - OCTANT_VECTORS[os_]
-                    if np.abs(off).max() < 2:
-                        continue
-                    T = self.kernel_tensor_hat(key_level, tuple(off))
-                    M[:, ot * qd : (ot + 1) * qd, os_ * md : (os_ + 1) * md] = (
-                        T.reshape(qd, md, nfreq).transpose(2, 0, 1)
-                    )
-            self._combos[key] = M
-        if h is None or level == key_level:
-            return M
-        return M * (2.0 ** (key_level - level)) ** h
+        qd, md = self.kernel.target_dof, self.kernel.source_dof
+        nfreq = self.m * self.m * (self.m // 2 + 1)
+        M = np.zeros((nfreq, 8 * qd, 8 * md), dtype=np.complex128)
+        pv = np.asarray(po, dtype=np.int64)
+        for ot in range(8):
+            for os_ in range(8):
+                off = 2 * pv + OCTANT_VECTORS[ot] - OCTANT_VECTORS[os_]
+                if np.abs(off).max() < 2:
+                    continue
+                T = self._tensor(bases, key, tuple(int(o) for o in off))
+                M[:, ot * qd : (ot + 1) * qd, os_ * md : (os_ + 1) * md] = (
+                    T.reshape(qd, md, nfreq).transpose(2, 0, 1)
+                )
+        return M
 
     def combo_tensor_real(
         self, level: int, po: tuple[int, int, int]
     ) -> np.ndarray:
-        """Real-arithmetic form of :meth:`combo_tensor_hat`, transposed.
+        """Real-arithmetic form of :meth:`_combo_hat`, transposed.
 
         Complex ``(8 qd) x (8 md)`` per-frequency mixing runs through
         tiny ``zgemm`` calls that OpenBLAS executes at well under half
@@ -216,22 +207,20 @@ class FFTM2L:
         ``B = M[f].T`` — yields exactly the interleaved view of the
         complex product.  Same flops, ~2x the throughput, and the
         operands are free ``.view(float64)`` reinterpretations.
+        Rescaled like :meth:`kernel_tensor_hat`.
         """
-        h = self.kernel.homogeneity
-        key_level = 0 if h is not None else level
-        key = (key_level, tuple(int(x) for x in po))
-        C = self._combos_real.get(key)
+        po = tuple(int(x) for x in po)
+        bases, key, a = self.cache.operator_bases(level, 0)
+        C = bases.combos_real.get((key, po))
         if C is None:
-            B = self.combo_tensor_hat(key_level, key[1]).transpose(0, 2, 1)
+            B = self._combo_hat(bases, key, po).transpose(0, 2, 1)
             C = np.empty((B.shape[0], 2 * B.shape[1], 2 * B.shape[2]))
             C[:, 0::2, 0::2] = B.real
             C[:, 1::2, 1::2] = B.real
             C[:, 0::2, 1::2] = B.imag
             C[:, 1::2, 0::2] = -B.imag
-            self._combos_real[key] = C
-        if h is None or level == key_level:
-            return C
-        return C * (2.0 ** (key_level - level)) ** h
+            C = bases.combos_real[(key, po)] = freeze(C)
+        return self.cache.rescale(C, a, 1)
 
     # -- surface transforms ---------------------------------------------------
 
@@ -245,7 +234,7 @@ class FFTM2L:
         """
         md = self.kernel.source_dof
         n = ue_rows.shape[0]
-        F_re, F_im, _, _ = self._dft_operators()
+        F_re, F_im, _, _ = dft_operators(self.p)
         vals = ue_rows.reshape(n, -1, md)
         A = np.ascontiguousarray(vals.transpose(0, 2, 1)).reshape(-1, F_re.shape[0])
         flat = out.reshape(n * md, -1)
@@ -297,7 +286,7 @@ class FFTM2L:
         ``(n, n_surf * target_dof)`` flat point-major check potentials.
         """
         n, qd = acc.shape[0], acc.shape[1]
-        _, _, G_re, G_im = self._dft_operators()
+        _, _, G_re, G_im = dft_operators(self.p)
         flat = acc.reshape(n * qd, -1)
         pm = np.matmul(np.ascontiguousarray(flat.real), G_re)
         pm -= np.matmul(np.ascontiguousarray(flat.imag), G_im)
@@ -316,7 +305,7 @@ class FFTM2L:
         """
         md = self.kernel.source_dof
         n = ue_rows.shape[0]
-        F_re_t, F_im_t, _, _ = self._dft_operators_t()
+        F_re_t, F_im_t, _, _ = dft_operators_t(self.p)
         vals = ue_rows.reshape(n, -1, md)
         # (n_surf, n * source_dof) surface-major stack of the densities
         a_t = np.ascontiguousarray(vals.transpose(1, 0, 2)).reshape(
@@ -335,7 +324,7 @@ class FFTM2L:
         potentials, matching :meth:`inverse_rows` up to GEMM rounding.
         """
         nfreq, n, qd = acc_t.shape
-        _, _, G_re_t, G_im_t = self._dft_operators_t()
+        _, _, G_re_t, G_im_t = dft_operators_t(self.p)
         flat = acc_t.reshape(nfreq, n * qd)
         pm_t = np.matmul(G_re_t, np.ascontiguousarray(flat.real))
         pm_t -= np.matmul(G_im_t, np.ascontiguousarray(flat.imag))

@@ -185,9 +185,11 @@ class KIFMM:
         phase").  Returns ``self`` for chaining.
 
         ``cache`` reuses a caller-supplied :class:`OperatorCache` (its
-        ``root_side`` must match the tree's — pin it via ``root``), so
-        multi-kernel BIE runs and repeated setups skip the pseudoinverse
-        recomputation.
+        ``root_side`` must match the tree's — pin it via ``root``).  No
+        setup of a homogeneous kernel recomputes pseudo-inverses or M2L
+        factors once its configuration has been factored in the process
+        (see :mod:`repro.core.precompute`); supplying a cache still
+        saves the per-level factoring of inhomogeneous kernels.
         """
         opts = self.options
         with self.timer.phase("tree"):

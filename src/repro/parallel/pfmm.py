@@ -1474,13 +1474,16 @@ class ParallelFMM:
         points = np.asarray(points, dtype=np.float64)
         opts = self.options
         corner, side = _global_root(points)
-        if self.cache is None:
+        # A new geometry may have a new root cube; the cache only fixes
+        # its scale (the operator bases are shared per process).
+        if self.cache is None or self.cache.root_side != side:
             self.cache = OperatorCache(
                 self.kernel, opts.p, side,
                 inner=opts.inner, outer=opts.outer, rcond=opts.rcond,
             )
-        if self.fft is None and opts.m2l in ("fft", "auto"):
-            self.fft = FFTM2L(self.cache)
+            self.fft = (
+                FFTM2L(self.cache) if opts.m2l in ("fft", "auto") else None
+            )
         parts = partition_points(points, self.nranks)
 
         def rank_main(comm: SimComm, idx: np.ndarray):

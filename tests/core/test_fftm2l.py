@@ -65,7 +65,8 @@ def test_inhomogeneous_tensors_cached_per_level():
     fft = FFTM2L(cache)
     fft.kernel_tensor_hat(2, (2, 0, 0))
     fft.kernel_tensor_hat(3, (2, 0, 0))
-    assert len(fft._tensors) == 2
+    bases, _, _ = cache.operator_bases(3, 0)
+    assert len(bases.tensors) == 2
 
 
 def test_rejects_adjacent_offset():

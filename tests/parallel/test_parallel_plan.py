@@ -64,6 +64,19 @@ def test_repeated_applies_bitwise_identical(rng):
     assert op.napplies == 3
 
 
+def test_resetup_on_new_root_cube_matches_fresh_operator(rng):
+    """A second setup() whose bounding cube differs rescales its operators."""
+    opts = FMMOptions(p=4, max_points=40)
+    phi = rng.standard_normal((500, 1))
+    op = ParallelFMM(2, LaplaceKernel(), opts).setup(uniform_cloud(rng, 500))
+    op.apply(phi)
+    moved = 5.0 * uniform_cloud(rng, 500) - 1.0
+    op.setup(moved)
+    assert op.cache.root_side == _global_root(moved)[1]
+    fresh = KIFMM(LaplaceKernel(), opts).setup(moved).apply(phi)
+    assert relative_error(op.apply(phi), fresh) < 1e-9
+
+
 def test_overlap_on_off_bitwise_identical(rng):
     pts = uniform_cloud(rng, 600)
     phi = rng.standard_normal((600, 3))
