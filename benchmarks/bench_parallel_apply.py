@@ -8,11 +8,9 @@ the overlapped nonblocking protocol.  For ranks in {1, 2, 4} this bench
 records:
 
 - setup wall-clock and the amortized per-apply wall-clock (>= 3 applies),
-- the per-call time of the seed's ``parallel_evaluate`` path, which
-  rebuilds tree/LET/owners/cache on every call — the amortization
-  baseline,
 - overlap on vs off: identical potentials, compared ``wait``-phase
-  seconds.
+  seconds,
+- the relative error against direct summation on sampled targets.
 
 Results land in ``BENCH_papply.json`` at the repository root so the
 performance trajectory is tracked across PRs.  Run directly::
@@ -44,10 +42,14 @@ import numpy as np
 
 from repro.core.fmm import FMMOptions
 from repro.kernels import LaplaceKernel
-from repro.parallel.pfmm import ParallelFMM, run_parallel_fmm
+from repro.kernels.direct import direct_evaluate, relative_error
+from repro.parallel.pfmm import ParallelFMM
 from repro.util.tables import format_table
 
 _ROOT = Path(__file__).resolve().parent.parent
+
+#: Targets sampled for the direct-summation accuracy check.
+_NCHECK = 200
 
 
 def _wait_seconds(op: ParallelFMM) -> float:
@@ -85,17 +87,11 @@ def _measure_ranks(
     wait_off = _wait_seconds(off) / napply
     assert np.array_equal(pot, pot_off), "overlap must not change bits"
 
-    # The seed path: every call rebuilds tree, LET, owners and plan.
-    t0 = time.perf_counter()
-    legacy = run_parallel_fmm(
-        nranks, kernel, pts, phi,
-        FMMOptions(p=opts.p, max_points=opts.max_points, plan="naive"),
-        cache=op.cache,
+    sample = np.random.default_rng(nranks).choice(
+        pts.shape[0], size=min(pts.shape[0], _NCHECK), replace=False
     )
-    t_percall = time.perf_counter() - t0
-    err = float(
-        np.linalg.norm(legacy.potential - pot) / np.linalg.norm(pot)
-    )
+    exact = direct_evaluate(kernel, pts[sample], pts, phi)
+    err = relative_error(pot[sample], exact)
     return {
         "ranks": nranks,
         "n": int(pts.shape[0]),
@@ -103,11 +99,9 @@ def _measure_ranks(
         "setup_seconds": round(t_setup, 4),
         "apply_seconds": round(t_apply, 4),
         "apply_seconds_no_overlap": round(t_apply_off, 4),
-        "per_call_evaluate_seconds": round(t_percall, 4),
-        "amortized_speedup_vs_per_call": round(t_percall / t_apply, 2),
         "wait_seconds_overlap_on": round(wait_on, 5),
         "wait_seconds_overlap_off": round(wait_off, 5),
-        "relative_error_vs_per_call": float(f"{err:.3e}"),
+        "relative_error_vs_direct": float(f"{err:.3e}"),
     }
 
 
@@ -135,16 +129,16 @@ def run(quick: bool = False, out: Path | None = None) -> dict:
             r["ranks"],
             r["setup_seconds"],
             r["apply_seconds"],
-            r["per_call_evaluate_seconds"],
-            r["amortized_speedup_vs_per_call"],
+            r["apply_seconds_no_overlap"],
             r["wait_seconds_overlap_on"],
             r["wait_seconds_overlap_off"],
+            r["relative_error_vs_direct"],
         )
         for r in results
     ]
     print(format_table(
-        ("ranks", "setup s", "apply s", "per-call s", "speedup",
-         "wait on", "wait off"),
+        ("ranks", "setup s", "apply s", "apply s (no ovl)",
+         "wait on", "wait off", "err vs direct"),
         rows,
         title=f"persistent ParallelFMM apply (N={n}, Laplace)",
     ))
@@ -159,8 +153,6 @@ def _measure_multirhs_ranks(
     repeats: int,
 ) -> dict:
     """Blocked apply vs looped single applies on one persistent operator."""
-    from repro.kernels.direct import relative_error
-
     kernel = LaplaceKernel()
     nrhs = block.shape[2]
     cols = [np.ascontiguousarray(block[:, :, r]) for r in range(nrhs)]
@@ -244,11 +236,10 @@ def multirhs_sweep(
 
 
 def test_parallel_apply():
-    """Bench smoke: amortized applies must beat per-call evaluation."""
+    """Bench smoke: persistent applies match direct summation (p=4)."""
     report = run(quick=True)
     for r in report["results"]:
-        assert r["relative_error_vs_per_call"] < 1e-9
-        assert r["amortized_speedup_vs_per_call"] > 1.0
+        assert r["relative_error_vs_direct"] < 1e-3
 
 
 def test_parallel_multirhs():

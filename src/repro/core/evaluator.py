@@ -2,7 +2,8 @@
 
 Implements the classical FMM control flow (Section 2: "Our algorithm has
 exactly the same structure as the original FMM") with the paper's density
-representations:
+representations, executed level by level over a precomputed
+:class:`~repro.core.plan.ExecutionPlan`:
 
 Upward pass (bottom-up)
     leaves: sources -> upward check potential (eq. 2.1, arrow 1);
@@ -11,10 +12,10 @@ Upward pass (bottom-up)
 
 Downward pass (top-down)
     every box accumulates its downward *check potential* from the parent
-    (L2L, eq. 2.5), its V list (M2L, eq. 2.4 — dense or FFT-accelerated)
-    and its X list (direct sources -> check surface), then inverts once
-    (the "one inversion per box" optimisation; same mathematics as
-    performing it per translation).
+    (L2L, eq. 2.5), its V list (M2L, eq. 2.4 — dense, rsvd or
+    FFT-accelerated) and its X list (direct sources -> check surface),
+    then inverts once (the "one inversion per box" optimisation; same
+    mathematics as performing it per translation).
 
 Leaf evaluation
     targets receive the downward equivalent density (L2T), the dense
@@ -35,14 +36,12 @@ from repro.core.fftm2l import FFTM2L
 from repro.core.m2lschedule import (
     M2LSchedule,
     resolve_m2l_schedule,
-    v_stats_from_lists,
     v_stats_from_plan,
 )
 from repro.core.plan import MAX_BLOCK_ENTRIES, ExecutionPlan, chunk_segments
 from repro.core.precompute import OperatorCache
 from repro.core.surfaces import surface_grid
 from repro.kernels.base import Kernel
-from repro.octree.lists import InteractionLists
 from repro.octree.tree import Octree
 from repro.util.flops import FlopCounter
 from repro.util.timing import PhaseTimer
@@ -99,8 +98,13 @@ def resolve_kernels(
 ) -> tuple[Kernel, Kernel, Kernel]:
     """Resolve and validate the (source, target, direct) kernel triple.
 
-    Shared by the per-box and the planned evaluator; see
-    :func:`evaluate` for the meaning of each kernel.
+    Shared by every entry point (:class:`~repro.core.fmm.KIFMM`, the
+    parallel driver and operator); see :func:`evaluate_planned` for the
+    meaning of each kernel.  Every kernel must be translation invariant
+    (:attr:`~repro.kernels.base.Kernel.translation_invariant`): the
+    planned executors share one origin-centred surface and one set of
+    translation operators per tree level, which is only valid for such
+    kernels, so any other kernel is rejected here.
     """
     src_k = source_kernel if source_kernel is not None else kernel
     trg_k = target_kernel if target_kernel is not None else kernel
@@ -134,12 +138,22 @@ def resolve_kernels(
             f"{trg_k.target_dof} components, got "
             f"{dir_k.source_dof} -> {dir_k.target_dof}"
         )
+    variant = [
+        k.name for k in (kernel, src_k, trg_k, dir_k)
+        if not k.translation_invariant
+    ]
+    if variant:
+        raise ValueError(
+            f"kernel(s) {sorted(set(variant))} are not translation "
+            f"invariant; the KIFMM executors require "
+            f"G(x + t, y + t) = G(x, y)"
+        )
     return src_k, trg_k, dir_k
 
 
-def evaluate(
+def evaluate_planned(
     tree: Octree,
-    lists: InteractionLists,
+    plan: ExecutionPlan,
     kernel: Kernel,
     cache: OperatorCache,
     density: np.ndarray,
@@ -150,25 +164,50 @@ def evaluate(
     source_kernel: Kernel | None = None,
     target_kernel: Kernel | None = None,
     direct_kernel: Kernel | None = None,
+    sanitize: bool = False,
 ) -> np.ndarray:
-    """Evaluate ``u_i = sum_j G(x_i, y_j) phi_j`` with the KIFMM.
+    """Level-batched KIFMM evaluation over a precomputed execution plan.
+
+    Organised around the plan's flat index arrays: per-level stacked
+    GEMMs for M2M/L2L and the check-to-equivalent inversions,
+    offset-class-grouped batched M2L, and per-target-box concatenated
+    near-field blocks.  Requires translation invariant kernels (all
+    constant-coefficient elliptic kernels are; see
+    :func:`resolve_kernels`).
+
+    Stacked density blocks (see :func:`coerce_density`) ride the same
+    plan in one pass: the box-major work arrays gain a *leading*
+    ``nrhs`` axis, and every stage hoists its expensive shared factor —
+    kernel-matrix assembly (S2M/U/W/X/L2T), the translation operators,
+    the M2L mixing-tensor slab copies, the DFT operators — out of a
+    per-column inner loop whose gathers/GEMMs/scatters run with exactly
+    the single-RHS shapes.  Column ``r`` of a block apply is therefore
+    *bit-identical* to the single-RHS apply of column ``r`` (same BLAS
+    call shapes, same accumulation order — even through the round-off
+    amplifying ``uc2ue``/``dc2de`` inversion chain), while the per-apply
+    setup cost is paid once per block.
+
+    ``sanitize`` (or ``REPRO_SANITIZE=1``) enables the runtime
+    sanitizers of :mod:`repro.analysis.sanitize`: BufferPool lifecycle
+    with NaN poisoning of released scratch, finite checks at every
+    phase boundary (naming the phase and box range that first went
+    non-finite), GEMM aliasing guards, and a pool-escape check on the
+    returned potential.
 
     Parameters
     ----------
-    tree, lists:
-        The computation tree and its interaction lists.
+    tree, plan:
+        The computation tree and its execution plan.
     kernel, cache:
         The *translation* kernel (builds and moves equivalent densities)
         and its operator cache (must share ``tree.root_side``).
     density:
         ``(ns, source_kernel.source_dof)`` or flat source densities in
-        *original* (unsorted) point order; stacked blocks
-        (``(ns, dof, nrhs)`` or ``(ns * dof, nrhs)``) are evaluated
-        column by column on this reference path.
+        *original* (unsorted) point order, or a stacked block (above).
     m2l_mode:
         ``"fft"`` (default), ``"dense"``, ``"rsvd"``, ``"auto"`` — or an
         already-resolved :class:`~repro.core.m2lschedule.M2LSchedule`
-        (strings resolve against this tree's gated V statistics).
+        (strings resolve against the plan's gated V statistics).
     fft_m2l:
         Optional pre-built :class:`FFTM2L` (reused across evaluations).
     flops, timer:
@@ -194,332 +233,6 @@ def evaluate(
     -------
     ``(nt, target_kernel.target_dof)`` values in original target order
     (trailing ``nrhs`` axis appended for stacked blocks).
-    """
-    if isinstance(m2l_mode, M2LSchedule):
-        sched = m2l_mode
-    else:
-        sched = resolve_m2l_schedule(
-            m2l_mode, "float64",
-            stats=v_stats_from_lists(tree, lists), cache=cache, kernel=kernel,
-        )
-    src_k, trg_k, dir_k = resolve_kernels(
-        kernel, source_kernel, target_kernel, direct_kernel
-    )
-    flops = flops if flops is not None else FlopCounter()
-    timer = timer if timer is not None else PhaseTimer()
-    md, qd = kernel.source_dof, kernel.target_dof
-    out_dof = trg_k.target_dof
-    ns, nt = tree.sources.shape[0], tree.targets.shape[0]
-    phi3, nrhs, single = coerce_density(density, ns, src_k.source_dof)
-    if not single:
-        # The per-box reference path stays single-RHS: a stacked block
-        # loops column by column (the planned path is the batched one).
-        cols = [
-            evaluate(
-                tree, lists, kernel, cache,
-                np.ascontiguousarray(phi3[:, :, r]),
-                m2l_mode=sched, fft_m2l=fft_m2l, flops=flops,
-                timer=timer, source_kernel=source_kernel,
-                target_kernel=target_kernel, direct_kernel=direct_kernel,
-            )
-            for r in range(nrhs)
-        ]
-        return np.stack(cols, axis=-1)
-    phi = phi3[:, :, 0]
-    n_surf = cache.n_surf
-    nb = tree.nboxes
-    boxes = tree.boxes
-
-    ue = np.zeros((nb, n_surf * md))
-    has_ue = np.zeros(nb, dtype=bool)
-
-    # ---------------- upward pass ----------------
-    with timer.phase("up"):
-        for level in range(tree.depth, -1, -1):
-            for bi in tree.levels[level]:
-                b = boxes[bi]
-                if b.nsrc == 0:
-                    continue
-                center = tree.center(bi)
-                if b.is_leaf:
-                    K = src_k.matrix(
-                        cache.up_check_points(center, level), tree.src_points(bi)
-                    )
-                    check = K @ phi[tree.src_indices(bi)].reshape(-1)
-                    flops.add_pairs("up", n_surf * b.nsrc, src_k.flops_per_pair)
-                else:
-                    check = np.zeros(n_surf * qd)
-                    for ci in b.children:
-                        if not has_ue[ci]:
-                            continue
-                        child = boxes[ci]
-                        octant = (
-                            (child.anchor[0] & 1)
-                            | ((child.anchor[1] & 1) << 1)
-                            | ((child.anchor[2] & 1) << 2)
-                        )
-                        M = cache.m2m_check(child.level, octant)
-                        check += M @ ue[ci]
-                        flops.add("up", _matvec_flops(M.shape))
-                U = cache.uc2ue(level)
-                ue[bi] = U @ check
-                has_ue[bi] = True
-                flops.add("up", _matvec_flops(U.shape))
-
-    # ---------------- downward pass ----------------
-    dc = np.zeros((nb, n_surf * qd))
-    has_dc = np.zeros(nb, dtype=bool)
-    de = np.zeros((nb, n_surf * md))
-    has_de = np.zeros(nb, dtype=bool)
-    potential = np.zeros((nt, out_dof))
-
-    fft = None
-    if sched.needs_fft:
-        fft = fft_m2l if fft_m2l is not None else FFTM2L(cache)
-        _fft_v_list(
-            tree, lists, fft, sched, ue, has_ue, dc, has_dc, flops, timer
-        )
-
-    for level in range(1, tree.depth + 1):
-        for bi in tree.levels[level]:
-            b = boxes[bi]
-            if b.ntrg == 0:
-                continue
-            center = tree.center(bi)
-
-            # L2L from the parent's downward equivalent density.
-            if has_de[b.parent]:
-                octant = (
-                    (b.anchor[0] & 1)
-                    | ((b.anchor[1] & 1) << 1)
-                    | ((b.anchor[2] & 1) << 2)
-                )
-                with timer.phase("eval"):
-                    L = cache.l2l_check(level, octant)
-                    dc[bi] += L @ de[b.parent]
-                    has_dc[bi] = True
-                    flops.add("eval", _matvec_flops(L.shape))
-
-            # V list (dense/rsvd backends; fft levels accumulated above).
-            backend = sched.backend(level)
-            if backend != "fft" and len(lists.V[bi]):
-                with timer.phase("down_v"):
-                    for ai in lists.V[bi]:
-                        if not has_ue[ai]:
-                            continue
-                        a = boxes[ai]
-                        offset = tuple(
-                            b.anchor[d] - a.anchor[d] for d in range(3)
-                        )
-                        if backend == "dense":
-                            T = cache.m2l_check(level, offset)
-                            dc[bi] += T @ ue[ai]
-                            flops.add("down_v", _matvec_flops(T.shape))
-                        else:
-                            uf, vf = cache.m2l_rsvd(
-                                level, offset, sched.dtype
-                            )
-                            src = ue[ai]
-                            if sched.dtype == "float32":
-                                src = src.astype(np.float32)  # lint: allow(dtype-width)
-                            # Factor precision may be float32; the +=
-                            # upcasts, keeping the accumulator float64.
-                            dc[bi] += uf @ (vf @ src)
-                            flops.add(
-                                "down_v",
-                                _rsvd_pair_flops(
-                                    vf.shape[0], n_surf, md, qd
-                                ),
-                            )
-                        has_dc[bi] = True
-
-            # X list: direct sources -> downward check surface.
-            if len(lists.X[bi]):
-                with timer.phase("down_x"):
-                    check_pts = cache.down_check_points(center, level)
-                    for ai in lists.X[bi]:
-                        a = boxes[ai]
-                        if a.nsrc == 0:
-                            continue
-                        K = src_k.matrix(check_pts, tree.src_points(ai))
-                        dc[bi] += K @ phi[tree.src_indices(ai)].reshape(-1)
-                        has_dc[bi] = True
-                        flops.add_pairs(
-                            "down_x", n_surf * a.nsrc, src_k.flops_per_pair
-                        )
-
-            # One inversion per box.
-            if has_dc[bi]:
-                with timer.phase("eval"):
-                    D = cache.dc2de(level)
-                    de[bi] = D @ dc[bi]
-                    has_de[bi] = True
-                    flops.add("eval", _matvec_flops(D.shape))
-
-            if not b.is_leaf:
-                continue
-
-            trg_pts = tree.trg_points(bi)
-            trg_idx = tree.trg_indices(bi)
-            local = np.zeros(b.ntrg * out_dof)
-
-            # L2T: downward equivalent density -> targets.
-            if has_de[bi]:
-                with timer.phase("eval"):
-                    K = trg_k.matrix(trg_pts, cache.down_equiv_points(center, level))
-                    local += K @ de[bi]
-                    flops.add_pairs("eval", b.ntrg * n_surf, trg_k.flops_per_pair)
-
-            # U list: dense near interactions.
-            if len(lists.U[bi]):
-                with timer.phase("down_u"):
-                    for ai in lists.U[bi]:
-                        a = boxes[ai]
-                        if a.nsrc == 0:
-                            continue
-                        K = dir_k.matrix(trg_pts, tree.src_points(ai))
-                        local += K @ phi[tree.src_indices(ai)].reshape(-1)
-                        flops.add_pairs(
-                            "down_u", b.ntrg * a.nsrc, dir_k.flops_per_pair
-                        )
-
-            # W list: far (smaller) boxes' upward equivalent densities.
-            if len(lists.W[bi]):
-                with timer.phase("down_w"):
-                    for ai in lists.W[bi]:
-                        if not has_ue[ai]:
-                            continue
-                        a = boxes[ai]
-                        K = trg_k.matrix(
-                            trg_pts, cache.up_equiv_points(tree.center(ai), a.level)
-                        )
-                        local += K @ ue[ai]
-                        flops.add_pairs(
-                            "down_w", b.ntrg * n_surf, trg_k.flops_per_pair
-                        )
-
-            potential[trg_idx] += local.reshape(b.ntrg, out_dof)
-
-    # Degenerate single-box tree: root is a leaf, handled by its U list —
-    # but the downward loop starts at level 1, so cover it here.
-    root = boxes[0]
-    if root.is_leaf and root.ntrg > 0 and root.nsrc > 0:
-        with timer.phase("down_u"):
-            K = dir_k.matrix(tree.trg_points(0), tree.src_points(0))
-            potential[tree.trg_indices(0)] += (
-                K @ phi[tree.src_indices(0)].reshape(-1)
-            ).reshape(root.ntrg, out_dof)
-            flops.add_pairs("down_u", root.ntrg * root.nsrc, dir_k.flops_per_pair)
-
-    return potential
-
-
-def _fft_v_list(
-    tree: Octree,
-    lists: InteractionLists,
-    fft: FFTM2L,
-    sched: M2LSchedule,
-    ue: np.ndarray,
-    has_ue: np.ndarray,
-    dc: np.ndarray,
-    has_dc: np.ndarray,
-    flops: FlopCounter,
-    timer: PhaseTimer,
-) -> None:
-    """Apply the fft-scheduled V-list levels in Fourier space."""
-    boxes = tree.boxes
-    with timer.phase("down_v"):
-        for level in range(2, tree.depth + 1):
-            if sched.backend(level) != "fft":
-                continue
-            level_boxes = tree.levels[level]
-            # Which source boxes at this level feed some V list?
-            needed: set[int] = set()
-            for bi in level_boxes:
-                if boxes[bi].ntrg == 0:
-                    continue
-                for ai in lists.V[bi]:
-                    if has_ue[ai]:
-                        needed.add(ai)
-            if not needed:
-                continue
-            md = fft.kernel.source_dof
-            phi_hat = {ai: fft.density_hat(ue[ai]) for ai in needed}
-            flops.add("down_v", len(needed) * fft.flops_per_fft(md))
-            npairs = 0
-            nacc = 0
-            for bi in level_boxes:
-                b = boxes[bi]
-                if b.ntrg == 0 or not len(lists.V[bi]):
-                    continue
-                acc = None
-                for ai in lists.V[bi]:
-                    if not has_ue[ai]:
-                        continue
-                    a = boxes[ai]
-                    offset = tuple(b.anchor[d] - a.anchor[d] for d in range(3))
-                    tensor = fft.kernel_tensor_hat(level, offset)
-                    if acc is None:
-                        nfreq = fft.m * fft.m * (fft.m // 2 + 1)
-                        acc = np.zeros((tensor.shape[0], nfreq),
-                                       dtype=np.complex128)
-                    fft.accumulate(acc, tensor, phi_hat[ai])
-                    npairs += 1
-                if acc is not None:
-                    dc[bi] += fft.check_potential(acc)
-                    has_dc[bi] = True
-                    nacc += 1
-            # One add per (level, term) so the planned evaluator — which
-            # performs the same three batched operations — accumulates a
-            # bit-identical per-phase total.
-            flops.add("down_v", npairs * fft.flops_per_pair())
-            flops.add("down_v", nacc * fft.flops_per_fft(fft.kernel.target_dof))
-
-
-def evaluate_planned(
-    tree: Octree,
-    plan: ExecutionPlan,
-    kernel: Kernel,
-    cache: OperatorCache,
-    density: np.ndarray,
-    m2l_mode: str | M2LSchedule = "fft",
-    fft_m2l: FFTM2L | None = None,
-    flops: FlopCounter | None = None,
-    timer: PhaseTimer | None = None,
-    source_kernel: Kernel | None = None,
-    target_kernel: Kernel | None = None,
-    direct_kernel: Kernel | None = None,
-    sanitize: bool = False,
-) -> np.ndarray:
-    """Level-batched KIFMM evaluation over a precomputed execution plan.
-
-    Mathematically identical to :func:`evaluate` (same translations, same
-    gating, same flop accounting) but organised around the plan's flat
-    index arrays: per-level stacked GEMMs for M2M/L2L and the
-    check-to-equivalent inversions, offset-class-grouped batched M2L, and
-    per-target-box concatenated near-field blocks.  Requires translation
-    invariant kernels (all constant-coefficient elliptic kernels are);
-    :class:`~repro.core.fmm.KIFMM` falls back to :func:`evaluate` for
-    kernels that declare otherwise.
-
-    Stacked density blocks (see :func:`coerce_density`) ride the same
-    plan in one pass: the box-major work arrays gain a *leading*
-    ``nrhs`` axis, and every stage hoists its expensive shared factor —
-    kernel-matrix assembly (S2M/U/W/X/L2T), the translation operators,
-    the M2L mixing-tensor slab copies, the DFT operators — out of a
-    per-column inner loop whose gathers/GEMMs/scatters run with exactly
-    the single-RHS shapes.  Column ``r`` of a block apply is therefore
-    *bit-identical* to the single-RHS apply of column ``r`` (same BLAS
-    call shapes, same accumulation order — even through the round-off
-    amplifying ``uc2ue``/``dc2de`` inversion chain), while the per-apply
-    setup cost is paid once per block.
-
-    ``sanitize`` (or ``REPRO_SANITIZE=1``) enables the runtime
-    sanitizers of :mod:`repro.analysis.sanitize`: BufferPool lifecycle
-    with NaN poisoning of released scratch, finite checks at every
-    phase boundary (naming the phase and box range that first went
-    non-finite), GEMM aliasing guards, and a pool-escape check on the
-    returned potential.
     """
     if isinstance(m2l_mode, M2LSchedule):
         sched = m2l_mode

@@ -242,43 +242,6 @@ class FFTM2L:
         np.matmul(A, F_im, out=flat.imag)
         return out
 
-    def density_hat(self, ue: np.ndarray) -> np.ndarray:
-        """Forward transform of one box's upward equivalent density.
-
-        ``ue`` is the flat point-major density ``(n_surf * source_dof,)``;
-        returns ``(source_dof, nfreq)`` complex.
-        """
-        md = self.kernel.source_dof
-        nfreq = self.m * self.m * (self.m // 2 + 1)
-        out = np.empty((1, md, nfreq), dtype=np.complex128)
-        return self.forward_rows(ue[None, :], out)[0]
-
-    def accumulate(
-        self,
-        acc: np.ndarray,
-        tensor_hat: np.ndarray,
-        phi_hat: np.ndarray,
-    ) -> None:
-        """``acc += tensor_hat applied to phi_hat`` in Fourier space.
-
-        ``acc`` has shape ``(target_dof, nfreq)``; ``tensor_hat`` is the
-        grid-shaped ``(target_dof, source_dof, m, m, m//2+1)`` kernel
-        transform.
-        """
-        qd, md = tensor_hat.shape[0], tensor_hat.shape[1]
-        th = tensor_hat.reshape(qd, md, -1)
-        acc += np.einsum("qmf,mf->qf", th, phi_hat)
-
-    def check_potential(self, acc: np.ndarray) -> np.ndarray:
-        """Inverse transform and surface-node gather for one box.
-
-        ``acc`` is ``(target_dof, nfreq)``; returns the flat point-major
-        downward check potential ``(n_surf * target_dof,)``.
-        """
-        return self.inverse_rows(acc[None])[0]
-
-    # -- batched variants (the planned evaluator's per-level operations) -----
-
     def inverse_rows(self, acc: np.ndarray) -> np.ndarray:
         """Inverse transforms and surface gathers for a stack of boxes.
 

@@ -18,14 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.evaluator import evaluate, evaluate_planned, resolve_kernels
+from repro.core.evaluator import evaluate_planned
 from repro.core.fftm2l import FFTM2L
 from repro.core.m2lschedule import (
     M2L_DTYPES,
     M2L_MODES,
     M2LSchedule,
     resolve_m2l_schedule,
-    v_stats_from_lists,
     v_stats_from_plan,
 )
 from repro.core.plan import ExecutionPlan, build_plan
@@ -73,12 +72,6 @@ class FMMOptions:
         Apply 2:1 tree balancing after construction (optional; the
         adaptive lists handle unbalanced trees — see
         :mod:`repro.octree.balance`).
-    plan:
-        ``"batched"`` (default) precomputes a level-major execution plan
-        in :meth:`KIFMM.setup` and evaluates with the vectorized
-        :func:`~repro.core.evaluator.evaluate_planned`; ``"naive"`` keeps
-        the per-box reference path.  Kernels that are not translation
-        invariant always use the per-box path.
     comm:
         Parallel communication scheme for the owner gather/scatter of
         :mod:`repro.parallel.exchange`: ``"tree"`` (default, hierarchical
@@ -103,7 +96,6 @@ class FMMOptions:
     rcond: float = 1e-12
     max_depth: int = 21
     balance: bool = False
-    plan: str = "batched"
     comm: str = "tree"
     sanitize: bool = False
 
@@ -124,10 +116,6 @@ class FMMOptions:
             raise ValueError(
                 f"surface radii must satisfy 1 < inner < outer < 3, "
                 f"got inner={self.inner}, outer={self.outer}"
-            )
-        if self.plan not in ("batched", "naive"):
-            raise ValueError(
-                f"plan must be 'batched' or 'naive', got {self.plan!r}"
             )
         if self.comm not in ("tree", "flat"):
             raise ValueError(
@@ -222,22 +210,14 @@ class KIFMM:
                 outer=opts.outer,
                 rcond=opts.rcond,
             )
-        if opts.plan == "batched":
-            with self.timer.phase("plan"):
-                self._plan = build_plan(self.tree, self.lists)
-        else:
-            self._plan = None
-        # Both evaluators resolve backends from the same gated V
-        # statistics, so resolving once here fixes the schedule for
-        # every apply (and for the plan verifier's flop model).
-        stats = (
-            v_stats_from_plan(self._plan)
-            if self._plan is not None
-            else v_stats_from_lists(self.tree, self.lists)
-        )
+        with self.timer.phase("plan"):
+            self._plan = build_plan(self.tree, self.lists)
+        # Resolving the backends once here fixes the schedule for every
+        # apply (and for the plan verifier's flop model).
         self._m2l = resolve_m2l_schedule(
             opts.m2l, opts.dtype,
-            stats=stats, cache=self.cache, kernel=self.kernel,
+            stats=v_stats_from_plan(self._plan),
+            cache=self.cache, kernel=self.kernel,
         )
         self._fft = FFTM2L(self.cache) if self._m2l.needs_fft else None
         return self
@@ -249,16 +229,11 @@ class KIFMM:
         target_kernel: Kernel | None,
         direct_kernel: Kernel | None,
     ) -> np.ndarray:
-        """Route one evaluation through the planned or the per-box path."""
-        assert self.tree is not None and self.lists is not None
+        """Run one evaluation over the execution plan."""
+        assert self.tree is not None and self._plan is not None
         assert self.cache is not None
-        kernels = resolve_kernels(
-            self.kernel, source_kernel, target_kernel, direct_kernel
-        )
-        planned = self._plan is not None and all(
-            k.translation_invariant for k in (self.kernel, *kernels)
-        )
-        common = dict(
+        return evaluate_planned(
+            self.tree, self._plan, self.kernel, self.cache, density,
             m2l_mode=self._m2l,
             fft_m2l=self._fft,
             flops=self.flops,
@@ -266,14 +241,7 @@ class KIFMM:
             source_kernel=source_kernel,
             target_kernel=target_kernel,
             direct_kernel=direct_kernel,
-        )
-        if planned:
-            return evaluate_planned(
-                self.tree, self._plan, self.kernel, self.cache, density,
-                sanitize=self.options.sanitize, **common
-            )
-        return evaluate(
-            self.tree, self.lists, self.kernel, self.cache, density, **common
+            sanitize=self.options.sanitize,
         )
 
     def apply(self, density: np.ndarray) -> np.ndarray:
@@ -285,8 +253,7 @@ class KIFMM:
             ``(ns, source_dof)`` or flat densities in input point order.
             Stacked blocks — ``(ns, source_dof, nrhs)`` or a flat block
             ``(ns * source_dof, nrhs)`` — evaluate all right-hand sides
-            in one batched pass over the execution plan (the per-box
-            path loops columns).
+            in one batched pass over the execution plan.
 
         Returns
         -------

@@ -17,18 +17,16 @@ The V-list translation (M2L) has three interchangeable backends:
 An :class:`M2LSchedule` fixes one backend *per tree level* plus the
 factor precision of the rsvd levels.  The uniform modes map every level
 to the same backend; ``auto`` picks per level from the level's V-list
-statistics with the cost model below.  Both evaluators (planned and
-per-box) resolve their schedule from the *same* gated statistics
-(:func:`v_stats_from_plan` / :func:`v_stats_from_lists` — parity is
-pinned by test), so the two paths always agree on the backends and
-their potentials match to backend roundoff.
+statistics with the cost model below.  Both planned executors (the
+sequential evaluator and the parallel rank executor) resolve their
+schedule from the plan's gated statistics (:func:`v_stats_from_plan`;
+the rank plans gate by *global* source counts), so every rank and the
+sequential path agree on the backends.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from repro.core.plan import StageMeta, plan_stage
 
@@ -145,38 +143,6 @@ def v_stats_from_plan(plan) -> dict[int, tuple[int, int, int]]:
         vl.level: (int(vl.npairs), int(vl.src_boxes.size), int(vl.trg_boxes.size))
         for vl in plan.v_levels
         if vl.npairs
-    }
-
-
-def v_stats_from_lists(tree, lists, nsrc=None) -> dict[int, tuple[int, int, int]]:
-    """The same statistics from raw interaction lists (the per-box view).
-
-    Gating matches ``build_plan`` exactly — a pair counts iff the target
-    box has targets and the source box has sources — so the per-box and
-    planned evaluators resolve identical schedules.  ``nsrc`` overrides
-    the local per-box source counts (the parallel LET passes global
-    counts here, mirroring ``build_plan(partner_nsrc=...)``).
-    """
-    if nsrc is None:
-        nsrc = np.fromiter(
-            (b.nsrc for b in tree.boxes), np.float64, tree.nboxes
-        )
-    npairs: dict[int, int] = {}
-    src_boxes: dict[int, set[int]] = {}
-    trg_boxes: dict[int, set[int]] = {}
-    for b in tree.boxes:
-        if b.ntrg == 0:
-            continue
-        partners = [int(a) for a in lists.V[b.index] if nsrc[int(a)] > 0]
-        if not partners:
-            continue
-        level = b.level
-        npairs[level] = npairs.get(level, 0) + len(partners)
-        trg_boxes.setdefault(level, set()).add(b.index)
-        src_boxes.setdefault(level, set()).update(partners)
-    return {
-        level: (npairs[level], len(src_boxes[level]), len(trg_boxes[level]))
-        for level in npairs
     }
 
 

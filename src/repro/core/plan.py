@@ -29,13 +29,14 @@ boxes of a level share one check/equivalent surface; this assumes the
 kernel is translation invariant (``G(x + t, y + t) = G(x, y)``), which
 every kernel of a constant-coefficient elliptic PDE satisfies — see
 :attr:`repro.kernels.base.Kernel.translation_invariant`.  Kernels that
-declare otherwise fall back to the per-box ("naive") evaluator.
+declare otherwise are rejected by
+:func:`repro.core.evaluator.resolve_kernels`.
 
 All gating in the plan is *density independent*: a box carries an upward
 density iff it holds sources, and carries downward data iff it (or an
 ancestor) receives a V- or X-list contribution from a source-bearing
-box.  The plan therefore encodes exactly the boxes the per-box evaluator
-would have touched, and the two paths produce identical flop statistics.
+box.  The plan therefore fixes the work of every apply at setup, and
+its flop statistics are a pure function of the geometry.
 """
 
 from __future__ import annotations
@@ -148,10 +149,9 @@ def chunk_segments(seg: np.ndarray, max_points: int) -> list[tuple[int, int]]:
 class BufferPool:
     """Grow-only scratch buffers, zeroed in place on reuse.
 
-    The per-box evaluator allocated a fresh accumulator per box per
-    ``apply()``; the planned evaluator instead draws its level-wide work
-    arrays from this pool, which lives on the plan and is reused across
-    the many ``apply()`` calls of a Krylov loop.
+    The planned evaluators draw their level-wide work arrays from this
+    pool, which lives on the plan and is reused across the many
+    ``apply()`` calls of a Krylov loop instead of allocating per apply.
 
     Under the sanitizer (``REPRO_SANITIZE=1`` / ``FMMOptions.sanitize``;
     the evaluator toggles :attr:`sanitize` per apply) the pool enforces

@@ -39,10 +39,11 @@ class Kernel(ABC):
         feeds the TCS-1 performance model.
     translation_invariant:
         ``True`` when ``G(x + t, y + t) = G(x, y)`` for every shift ``t``,
-        as for all constant-coefficient elliptic kernels.  The planned
-        evaluator exploits this to share one origin-centered surface per
-        tree level; kernels that declare ``False`` are evaluated with the
-        per-box path instead.
+        as for all constant-coefficient elliptic kernels.  The KIFMM
+        executors rely on it: they share one origin-centred surface and
+        one set of translation operators per tree level.  Every entry
+        point rejects kernels that declare ``False`` (see
+        :func:`repro.core.evaluator.resolve_kernels`).
     """
 
     name: str = "abstract"

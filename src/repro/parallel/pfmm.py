@@ -30,7 +30,6 @@ from repro.core.m2lschedule import (
     M2LSchedule,
     coarse_split_levels,
     resolve_m2l_schedule,
-    v_stats_from_lists,
     v_stats_from_plan,
 )
 from repro.core.plan import (
@@ -48,13 +47,10 @@ from repro.core.precompute import OperatorCache
 from repro.core.surfaces import surface_grid
 from repro.kernels.base import Kernel
 from repro.octree.lists import InteractionLists, build_lists
-from repro.octree.tree import Octree
 from repro.parallel.exchange import (
     ApplyExchange,
     GhostLayout,
     build_exchange_plan,
-    exchange_equiv_densities,
-    exchange_source_data,
     exchange_source_geometry,
 )
 from repro.parallel.let import classify_let, gather_users
@@ -78,323 +74,6 @@ from repro.util.timing import PhaseTimer
 register_tag_family(
     "vsp", fields=("level", "box"), phases=("v_split",), kind="split",
 )
-
-
-def _octant(box) -> int:
-    return (
-        (box.anchor[0] & 1)
-        | ((box.anchor[1] & 1) << 1)
-        | ((box.anchor[2] & 1) << 2)
-    )
-
-
-def _upward_local(
-    tree: Octree,
-    kernel: Kernel,
-    cache: OperatorCache,
-    phi: np.ndarray,
-    src_k: Kernel | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Stage 1: partial upward equivalent densities from local sources."""
-    src_k = src_k if src_k is not None else kernel
-    n_surf = cache.n_surf
-    md = kernel.source_dof
-    nb = tree.nboxes
-    ue = np.zeros((nb, n_surf * md))
-    has_ue = np.zeros(nb, dtype=bool)
-    for level in range(tree.depth, -1, -1):
-        for bi in tree.levels[level]:
-            b = tree.boxes[bi]
-            if b.nsrc == 0:  # no *local* sources in the subtree
-                continue
-            center = tree.center(bi)
-            if b.is_leaf or not any(has_ue[c] for c in b.children):
-                # a non-leaf whose local sources all sit in globally-pruned
-                # octants cannot occur (children cover all occupied
-                # octants globally), so local sources imply a child with a
-                # partial density; the leaf branch handles true leaves.
-                K = src_k.matrix(
-                    cache.up_check_points(center, level), tree.src_points(bi)
-                )
-                check = K @ phi[tree.src_indices(bi)].reshape(-1)
-            else:
-                check = np.zeros(n_surf * kernel.target_dof)
-                for ci in b.children:
-                    if not has_ue[ci]:
-                        continue
-                    child = tree.boxes[ci]
-                    check += cache.m2m_check(child.level, _octant(child)) @ ue[ci]
-            ue[bi] = cache.uc2ue(level) @ check
-            has_ue[bi] = True
-    return ue, has_ue
-
-
-def _downward_local(
-    ptree: ParallelTree,
-    lists,
-    kernel: Kernel,
-    cache: OperatorCache,
-    phi: np.ndarray,
-    global_ue: dict[int, np.ndarray],
-    ghost_src: dict[int, tuple[np.ndarray, np.ndarray]],
-    sched: M2LSchedule,
-    src_k: Kernel | None = None,
-    trg_k: Kernel | None = None,
-    dir_k: Kernel | None = None,
-) -> np.ndarray:
-    """Stage 3: downward computation for boxes with local targets."""
-    src_k = src_k if src_k is not None else kernel
-    trg_k = trg_k if trg_k is not None else kernel
-    dir_k = dir_k if dir_k is not None else kernel
-    tree = ptree.tree
-    boxes = tree.boxes
-    n_surf = cache.n_surf
-    md, qd = kernel.source_dof, kernel.target_dof
-    out_dof = trg_k.target_dof
-    nb = tree.nboxes
-    dc = np.zeros((nb, n_surf * qd))
-    has_dc = np.zeros(nb, dtype=bool)
-    de = np.zeros((nb, n_surf * md))
-    has_de = np.zeros(nb, dtype=bool)
-    potential = np.zeros((tree.targets.shape[0], out_dof))
-    has_global_src = ptree.global_nsrc > 0
-
-    fft = FFTM2L(cache) if sched.needs_fft else None
-    if fft is not None:
-        _fft_v_list_parallel(ptree, lists, fft, sched, global_ue, dc, has_dc)
-
-    for level in range(1, tree.depth + 1):
-        for bi in tree.levels[level]:
-            b = boxes[bi]
-            if b.ntrg == 0:  # no local targets in the subtree
-                continue
-            center = tree.center(bi)
-            if has_de[b.parent]:
-                dc[bi] += cache.l2l_check(level, _octant(b)) @ de[b.parent]
-                has_dc[bi] = True
-            backend = sched.backend(level)
-            if backend != "fft":
-                for ai in lists.V[bi]:
-                    if not has_global_src[ai]:
-                        continue
-                    a = boxes[ai]
-                    offset = tuple(b.anchor[d] - a.anchor[d] for d in range(3))
-                    if backend == "dense":
-                        dc[bi] += (
-                            cache.m2l_check(level, offset) @ global_ue[int(ai)]
-                        )
-                    else:
-                        uf, vf = cache.m2l_rsvd(level, offset, sched.dtype)
-                        src = global_ue[int(ai)]
-                        if sched.dtype == "float32":
-                            src = src.astype(np.float32)
-                        dc[bi] += uf @ (vf @ src)
-                    has_dc[bi] = True
-            if len(lists.X[bi]):
-                check_pts = cache.down_check_points(center, level)
-                for ai in lists.X[bi]:
-                    if not has_global_src[ai]:
-                        continue
-                    pts, dens = ghost_src[int(ai)]
-                    dc[bi] += src_k.matrix(check_pts, pts) @ dens.reshape(-1)
-                    has_dc[bi] = True
-            if has_dc[bi]:
-                de[bi] = cache.dc2de(level) @ dc[bi]
-                has_de[bi] = True
-            if not b.is_leaf:
-                continue
-            trg_pts = tree.trg_points(bi)
-            trg_idx = tree.trg_indices(bi)
-            local = np.zeros(b.ntrg * out_dof)
-            if has_de[bi]:
-                K = trg_k.matrix(trg_pts, cache.down_equiv_points(center, level))
-                local += K @ de[bi]
-            for ai in lists.U[bi]:
-                if not has_global_src[ai]:
-                    continue
-                pts, dens = ghost_src[int(ai)]
-                local += dir_k.matrix(trg_pts, pts) @ dens.reshape(-1)
-            for ai in lists.W[bi]:
-                if not has_global_src[ai]:
-                    continue
-                a = boxes[ai]
-                K = trg_k.matrix(
-                    trg_pts, cache.up_equiv_points(tree.center(ai), a.level)
-                )
-                local += K @ global_ue[int(ai)]
-            potential[trg_idx] += local.reshape(b.ntrg, out_dof)
-
-    root = boxes[0]
-    if root.is_leaf and root.ntrg > 0 and has_global_src[0]:
-        pts, dens = ghost_src[0]
-        K = dir_k.matrix(tree.trg_points(0), pts)
-        potential[tree.trg_indices(0)] += (
-            K @ dens.reshape(-1)
-        ).reshape(root.ntrg, out_dof)
-    return potential
-
-
-def _fft_v_list_parallel(
-    ptree: ParallelTree,
-    lists,
-    fft: FFTM2L,
-    sched: M2LSchedule,
-    global_ue: dict[int, np.ndarray],
-    dc: np.ndarray,
-    has_dc: np.ndarray,
-) -> None:
-    """FFT-accelerated V-list pass over the rank's LET (fft levels)."""
-    tree = ptree.tree
-    boxes = tree.boxes
-    has_global_src = ptree.global_nsrc > 0
-    for level in range(2, tree.depth + 1):
-        if sched.backend(level) != "fft":
-            continue
-        level_boxes = tree.levels[level]
-        needed: set[int] = set()
-        for bi in level_boxes:
-            if boxes[bi].ntrg == 0:
-                continue
-            for ai in lists.V[bi]:
-                if has_global_src[ai]:
-                    needed.add(int(ai))
-        if not needed:
-            continue
-        phi_hat = {ai: fft.density_hat(global_ue[ai]) for ai in needed}
-        for bi in level_boxes:
-            b = boxes[bi]
-            if b.ntrg == 0 or not len(lists.V[bi]):
-                continue
-            acc = None
-            for ai in lists.V[bi]:
-                if not has_global_src[ai]:
-                    continue
-                a = boxes[ai]
-                offset = tuple(b.anchor[d] - a.anchor[d] for d in range(3))
-                tensor = fft.kernel_tensor_hat(level, offset)
-                if acc is None:
-                    nfreq = fft.m * fft.m * (fft.m // 2 + 1)
-                    acc = np.zeros((tensor.shape[0], nfreq), dtype=np.complex128)
-                fft.accumulate(acc, tensor, phi_hat[int(ai)])
-            if acc is not None:
-                dc[bi] += fft.check_potential(acc)
-                has_dc[bi] = True
-
-
-def parallel_evaluate(
-    comm: SimComm,
-    kernel: Kernel,
-    local_sources: np.ndarray,
-    local_density: np.ndarray,
-    options: FMMOptions | None = None,
-    root: tuple[np.ndarray, float] | None = None,
-    timer: PhaseTimer | None = None,
-    source_kernel: Kernel | None = None,
-    target_kernel: Kernel | None = None,
-    direct_kernel: Kernel | None = None,
-    cache: OperatorCache | None = None,
-) -> np.ndarray:
-    """SPMD entry point: each rank passes its local particles.
-
-    Sources and targets are the identical local point set (the paper's
-    experimental setup).  Returns the potentials at this rank's local
-    points, in local order.  The variable source/target kernels follow
-    the same rules as the sequential evaluator (see
-    :func:`repro.core.evaluator.evaluate`).
-
-    ``cache`` lets the caller supply a prebuilt (shareable)
-    :class:`~repro.core.precompute.OperatorCache` so repeated calls stop
-    recomputing the pseudoinverse operators; it must have been built
-    with the same kernel, order and root side this call produces
-    (supply ``root`` to pin the cube).
-    """
-    opts = options or FMMOptions()
-    timer = timer if timer is not None else PhaseTimer()
-    src_k = source_kernel if source_kernel is not None else kernel
-    trg_k = target_kernel if target_kernel is not None else kernel
-    if direct_kernel is not None:
-        dir_k = direct_kernel
-    elif src_k is kernel:
-        dir_k = trg_k
-    elif trg_k is kernel:
-        dir_k = src_k
-    else:
-        raise ValueError(
-            "direct_kernel is required when both source_kernel and "
-            "target_kernel are custom"
-        )
-    local_sources = np.asarray(local_sources, dtype=np.float64)
-    phi = np.asarray(local_density, dtype=np.float64).reshape(
-        local_sources.shape[0], src_k.source_dof
-    )
-
-    with timer.phase("tree"):
-        ptree = parallel_build_tree(
-            comm,
-            local_sources,
-            max_points=opts.max_points,
-            max_depth=opts.max_depth,
-            root=root,
-        )
-        tree = ptree.tree
-        lists = build_lists(tree)
-        contrib_src, contrib_trg = gather_contributors(
-            comm, ptree.local_contributes_src(), ptree.local_contributes_trg()
-        )
-        owner = assign_owners(contrib_src | contrib_trg)
-        usage = classify_let(tree, lists, ptree.local_contributes_trg())
-        # data is only needed for boxes that globally hold sources
-        usage.uses_equiv &= ptree.global_nsrc > 0
-        usage.uses_source &= ptree.global_nsrc > 0
-        users_equiv, users_src = gather_users(comm, usage)
-
-    if cache is None:
-        cache = OperatorCache(
-            kernel, opts.p, tree.root_side,
-            inner=opts.inner, outer=opts.outer, rcond=opts.rcond,
-        )
-
-    with timer.phase("up"):
-        partial_ue, has_ue = _upward_local(tree, kernel, cache, phi, src_k=src_k)
-
-    # Communication, split into ``pack`` (send side) and ``wait``
-    # (receive side) by the exchange functions themselves.
-    with timer.phase("pack"):
-        src_boxes = np.nonzero(users_src.any(axis=0))[0]
-        local_pts = {
-            int(b): tree.src_points(int(b))
-            for b in src_boxes
-            if contrib_src[comm.rank, b]
-        }
-        local_dens = {
-            int(b): phi[tree.src_indices(int(b))]
-            for b in src_boxes
-            if contrib_src[comm.rank, b]
-        }
-    ghost_src = exchange_source_data(
-        comm, src_boxes, contrib_src, users_src, owner, local_pts, local_dens,
-        timer=timer, scheme=opts.comm,
-    )
-    ue_boxes = np.nonzero(users_equiv.any(axis=0))[0]
-    global_ue = exchange_equiv_densities(
-        comm, ue_boxes, contrib_src, users_equiv, owner, partial_ue, has_ue,
-        timer=timer, scheme=opts.comm,
-    )
-
-    # Backend resolution must gate the V statistics by *global* source
-    # counts — every rank then derives the identical schedule, keeping
-    # the redundant downward passes bitwise consistent across ranks.
-    sched = resolve_m2l_schedule(
-        opts.m2l, opts.dtype,
-        stats=v_stats_from_lists(tree, lists, nsrc=ptree.global_nsrc),
-        cache=cache, kernel=kernel,
-    )
-    with timer.phase("down"):
-        potential = _downward_local(
-            ptree, lists, kernel, cache, phi, global_ue, ghost_src, sched,
-            src_k=src_k, trg_k=trg_k, dir_k=dir_k,
-        )
-    return potential
 
 
 # ---------------------------------------------------------------------------
@@ -1059,7 +738,9 @@ def rank_setup(
     *geometry* exchange, and the owned/ghost work splits.  ``cache`` and
     ``fft`` may be shared across ranks (their lazy per-level entries are
     deterministic, so concurrent population is benign); when omitted
-    they are built locally from the agreed root cube.
+    they are built locally from the agreed root cube.  A supplied
+    ``cache`` must share the tree's ``root_side`` (pin the cube via
+    ``root``).
     """
     opts = options or FMMOptions()
     timer = timer if timer is not None else PhaseTimer()
@@ -1086,6 +767,12 @@ def rank_setup(
         cache = OperatorCache(
             kernel, opts.p, tree.root_side,
             inner=opts.inner, outer=opts.outer, rcond=opts.rcond,
+        )
+    elif cache.root_side != tree.root_side:
+        raise ValueError(
+            f"supplied cache root_side {cache.root_side} does not match "
+            f"tree root_side {tree.root_side}; pin the cube via the root "
+            f"argument"
         )
     nb = tree.nboxes
     # Layout of the combined (local + ghost) source array: used boxes in
@@ -1284,13 +971,6 @@ class ParallelFMMResult:
     nranks: int
 
 
-def _planned_eligible(kernels: tuple[Kernel, ...], opts: FMMOptions) -> bool:
-    """Whether the persistent planned path applies (mirrors KIFMM)."""
-    return opts.plan == "batched" and all(
-        k.translation_invariant for k in kernels
-    )
-
-
 def run_parallel_fmm(
     nranks: int,
     kernel: Kernel,
@@ -1314,12 +994,11 @@ def run_parallel_fmm(
     returns the potentials in the original point order together with
     per-rank communication statistics.
 
-    With the default batched plan and translation-invariant kernels the
-    run goes through the persistent operator: one :func:`rank_setup`
+    The run goes through the persistent operator: one :func:`rank_setup`
     followed by ``napplies`` overlapped planned applies inside a single
-    SPMD region (so a trace covers setup plus every apply).  Otherwise
-    ``napplies`` per-box :func:`parallel_evaluate` calls run, sharing
-    one operator cache.
+    SPMD region (so a trace covers setup plus every apply).  ``cache``
+    supplies a prebuilt operator cache; its ``root_side`` must match the
+    bounding cube of ``points``.
 
     ``trace`` (a :class:`repro.analysis.trace.CommTrace`) records the
     full communication event trace for
@@ -1332,7 +1011,7 @@ def run_parallel_fmm(
     """
     if napplies < 1:
         raise ValueError(f"napplies must be >= 1, got {napplies}")
-    src_k, trg_k, dir_k = resolve_kernels(
+    src_k, trg_k, _ = resolve_kernels(
         kernel, source_kernel, target_kernel, direct_kernel
     )
     opts = options or FMMOptions()
@@ -1343,56 +1022,33 @@ def run_parallel_fmm(
     )
     parts = partition_points(points, nranks)
     timers = [PhaseTimer() for _ in range(nranks)]
-    use_plan = _planned_eligible((kernel, src_k, trg_k, dir_k), opts)
+    corner, side = _global_root(points)
+    shared_cache = cache if cache is not None else OperatorCache(
+        kernel, opts.p, side,
+        inner=opts.inner, outer=opts.outer, rcond=opts.rcond,
+    )
+    # "auto" may schedule fft levels; prebuild so ranks share the
+    # lazily-populated tensors (rank_setup ignores it otherwise).
+    shared_fft = (
+        FFTM2L(shared_cache) if opts.m2l in ("fft", "auto") else None
+    )
 
-    if use_plan:
-        corner, side = _global_root(points)
-        shared_cache = cache if cache is not None else OperatorCache(
-            kernel, opts.p, side,
-            inner=opts.inner, outer=opts.outer, rcond=opts.rcond,
+    def rank_main(comm: SimComm, idx: np.ndarray):
+        state = rank_setup(
+            comm, kernel, points[idx], opts,
+            root=(corner, side), cache=shared_cache, fft=shared_fft,
+            source_kernel=source_kernel, target_kernel=target_kernel,
+            direct_kernel=direct_kernel, timer=timers[comm.rank],
         )
-        # "auto" may schedule fft levels; prebuild so ranks share the
-        # lazily-populated tensors (rank_setup ignores it otherwise).
-        shared_fft = (
-            FFTM2L(shared_cache) if opts.m2l in ("fft", "auto") else None
-        )
-
-        def rank_main(comm: SimComm, idx: np.ndarray):
-            state = rank_setup(
-                comm, kernel, points[idx], opts,
-                root=(corner, side), cache=shared_cache, fft=shared_fft,
-                source_kernel=source_kernel, target_kernel=target_kernel,
-                direct_kernel=direct_kernel, timer=timers[comm.rank],
+        dloc = density3[idx]
+        if single:
+            dloc = dloc[:, :, 0]
+        for _ in range(napplies):
+            pot = state.apply(
+                comm, dloc,
+                timer=timers[comm.rank], overlap=overlap,
             )
-            dloc = density3[idx]
-            if single:
-                dloc = dloc[:, :, 0]
-            for _ in range(napplies):
-                pot = state.apply(
-                    comm, dloc,
-                    timer=timers[comm.rank], overlap=overlap,
-                )
-            return pot, comm.stats
-    else:
-
-        def rank_main(comm: SimComm, idx: np.ndarray):
-            # The per-box reference path loops columns (every rank loops
-            # the same count, so the SPMD message rounds stay aligned).
-            dloc = density3[idx]
-            for _ in range(napplies):
-                cols = [
-                    parallel_evaluate(
-                        comm, kernel, points[idx],
-                        np.ascontiguousarray(dloc[:, :, r]),
-                        options=options, timer=timers[comm.rank],
-                        source_kernel=source_kernel,
-                        target_kernel=target_kernel,
-                        direct_kernel=direct_kernel, cache=cache,
-                    )
-                    for r in range(nrhs)
-                ]
-            pot = cols[0] if single else np.stack(cols, axis=2)
-            return pot, comm.stats
+        return pot, comm.stats
 
     outputs = run_spmd(
         nranks, rank_main, PerRank(parts),
@@ -1422,8 +1078,8 @@ class ParallelFMM:
     overlapped nonblocking protocol.  Repeated applies of one operator
     are bitwise identical; GMRES drives :meth:`matvec`.
 
-    Requires the batched plan and translation-invariant kernels (the
-    conditions of :func:`~repro.core.evaluator.evaluate_planned`).
+    Requires translation-invariant kernels (checked by
+    :func:`~repro.core.evaluator.resolve_kernels`).
     """
 
     def __init__(
@@ -1447,14 +1103,6 @@ class ParallelFMM:
         self.src_k, self.trg_k, self.dir_k = resolve_kernels(
             kernel, source_kernel, target_kernel, direct_kernel
         )
-        if not _planned_eligible(
-            (kernel, self.src_k, self.trg_k, self.dir_k), self.options
-        ):
-            raise ValueError(
-                "ParallelFMM requires plan='batched' and translation "
-                "invariant kernels; use run_parallel_fmm for the per-box "
-                "path"
-            )
         self._states: list[RankFMM] | None = None
         self._parts: list[np.ndarray] | None = None
         self._npoints = 0

@@ -10,6 +10,27 @@ from repro.kernels import LaplaceKernel, ModifiedLaplaceKernel, StokesKernel
 OFFSETS = [(2, 0, 0), (0, -2, 1), (3, 3, 3), (-3, 2, -1), (0, 0, 2)]
 
 
+def _via_fft(fft, level, pairs):
+    """Check potential of one target box from ``(offset, ue)`` sources.
+
+    Runs the planned evaluator's batched path: forward transforms of the
+    source rows, one class accumulation per offset, one inverse
+    transform.
+    """
+    md, qd = fft.kernel.source_dof, fft.kernel.target_dof
+    nfreq = fft.m * fft.m * (fft.m // 2 + 1)
+    ue_rows = np.stack([ue for _, ue in pairs])
+    phi_hat = np.empty((len(pairs), md, nfreq), dtype=np.complex128)
+    fft.forward_rows(ue_rows, phi_hat)
+    acc = np.zeros((1, qd, nfreq), dtype=np.complex128)
+    for i, (offset, _) in enumerate(pairs):
+        fft.accumulate_many(
+            acc, fft.kernel_tensor_hat(level, offset),
+            phi_hat[i:i + 1], np.zeros(1, dtype=np.int64),
+        )
+    return fft.inverse_rows(acc)[0]
+
+
 @pytest.mark.parametrize(
     "kernel",
     [LaplaceKernel(), ModifiedLaplaceKernel(lam=1.0), StokesKernel()],
@@ -23,10 +44,7 @@ def test_fft_matches_dense(kernel, offset, rng):
     level = 2
     ue = rng.standard_normal(cache.n_surf * kernel.source_dof)
     dense = cache.m2l_check(level, offset) @ ue
-    nfreq = fft.m * fft.m * (fft.m // 2 + 1)
-    acc = np.zeros((kernel.target_dof, nfreq), dtype=np.complex128)
-    fft.accumulate(acc, fft.kernel_tensor_hat(level, offset), fft.density_hat(ue))
-    via_fft = fft.check_potential(acc)
+    via_fft = _via_fft(fft, level, [(offset, ue)])
     assert np.allclose(via_fft, dense, atol=1e-10 * max(1.0, np.abs(dense).max()))
 
 
@@ -39,10 +57,7 @@ def test_accumulation_is_additive(rng):
     ue1 = rng.standard_normal(cache.n_surf)
     ue2 = rng.standard_normal(cache.n_surf)
     o1, o2 = (2, 0, 0), (0, 3, -1)
-    acc = np.zeros((1, fft.m * fft.m * (fft.m // 2 + 1)), dtype=np.complex128)
-    fft.accumulate(acc, fft.kernel_tensor_hat(level, o1), fft.density_hat(ue1))
-    fft.accumulate(acc, fft.kernel_tensor_hat(level, o2), fft.density_hat(ue2))
-    combined = fft.check_potential(acc)
+    combined = _via_fft(fft, level, [(o1, ue1), (o2, ue2)])
     expected = (
         cache.m2l_check(level, o1) @ ue1 + cache.m2l_check(level, o2) @ ue2
     )

@@ -5,23 +5,19 @@ dense per-class GEMM is the reference, the FFT path is the paper's
 accelerated scheme, and the rsvd path applies randomized-SVD-compressed
 factors as two stacked BLAS-3 GEMMs.  These tests pin the seam: every
 backend (and the per-level ``auto`` mix) reproduces the dense potentials
-on Laplace and Stokes problems across tree depths 3-5, the float32
-mixed-precision mode stays within single-precision roundoff of the
-float64 result, and repeated setups produce bitwise identical rsvd
-potentials (the factorisation is deterministically seeded).
+on Laplace and Stokes problems across tree depths 3-5, the dense and
+rsvd paths match the naive O(N^2) sum, the float32 mixed-precision mode
+stays within single-precision roundoff of the float64 result, and
+repeated setups produce bitwise identical rsvd potentials (the
+factorisation is deterministically seeded).
 """
 
 import numpy as np
 import pytest
 
 from repro.core.fmm import FMMOptions, KIFMM
-from repro.core.m2lschedule import (
-    M2LSchedule,
-    resolve_m2l_schedule,
-    v_stats_from_lists,
-    v_stats_from_plan,
-)
-from repro.kernels.direct import relative_error
+from repro.core.m2lschedule import M2LSchedule, resolve_m2l_schedule
+from repro.kernels.direct import direct_evaluate, relative_error
 from repro.kernels.laplace import LaplaceKernel
 from repro.kernels.stokes import StokesKernel
 
@@ -36,14 +32,17 @@ def points():
     return np.vstack([cluster, rng.random((300, 3))])
 
 
-def _apply(kernel, points, depth, m2l, dtype="float64", plan="batched"):
+def _density(kernel, points):
+    rng = np.random.default_rng(13)
+    return rng.standard_normal((points.shape[0], kernel.source_dof))
+
+
+def _apply(kernel, points, depth, m2l, dtype="float64"):
     opts = FMMOptions(p=3, max_points=20, max_depth=depth, m2l=m2l,
-                      dtype=dtype, plan=plan)
+                      dtype=dtype)
     fmm = KIFMM(kernel, opts).setup(points)
     assert fmm.tree.depth == depth
-    rng = np.random.default_rng(13)
-    phi = rng.standard_normal((points.shape[0], kernel.source_dof))
-    return fmm, fmm.apply(phi)
+    return fmm, fmm.apply(_density(kernel, points))
 
 
 @pytest.mark.parametrize("depth", DEPTHS)
@@ -62,11 +61,17 @@ def test_backend_parity_with_dense(kernel, points, depth, m2l):
 @pytest.mark.parametrize("depth", DEPTHS)
 @pytest.mark.parametrize("m2l", ["dense", "rsvd"])
 def test_naive_and_planned_paths_agree(points, depth, m2l):
+    """The planned path against the naive O(N^2) sum."""
     kernel = LaplaceKernel()
-    _, batched = _apply(kernel, points, depth, m2l, plan="batched")
-    _, naive = _apply(kernel, points, depth, m2l, plan="naive")
-    # same operators, different GEMM shapes: roundoff-level agreement
-    assert relative_error(batched, naive) < 1e-10
+    _, u = _apply(kernel, points, depth, m2l)
+    exact = direct_evaluate(
+        kernel, points, points, _density(kernel, points)
+    )
+    assert relative_error(u, exact) < 5e-4
+    # The cluster's self-interaction dominates the global norm, so the
+    # uniform half — where the far field matters — is checked alone
+    # (p=3 discretisation tolerance).
+    assert relative_error(u[300:], exact[300:]) < 5e-3
 
 
 @pytest.mark.parametrize(
@@ -107,25 +112,6 @@ def test_schedule_reporting_and_modes(points):
     levels = auto.m2l_schedule.describe()["levels"]
     assert set(levels) == set(desc["levels"])  # same V levels
     assert all(b in ("fft", "dense", "rsvd") for b in levels.values())
-
-
-def test_auto_uses_gated_stats_consistently(points):
-    """Plan-derived and list-derived V statistics agree.
-
-    Both evaluators must resolve the identical schedule, so the stats
-    the picker sees cannot depend on which path computes them.
-    """
-    kernel = LaplaceKernel()
-    opts = FMMOptions(p=3, max_points=20, max_depth=4, m2l="auto")
-    fmm = KIFMM(kernel, opts).setup(points)
-    from_plan = v_stats_from_plan(fmm._plan)
-    from_lists = v_stats_from_lists(fmm.tree, fmm.lists)
-    assert from_plan == from_lists
-    s1 = resolve_m2l_schedule("auto", "float64", stats=from_plan,
-                              cache=fmm.cache, kernel=kernel)
-    s2 = resolve_m2l_schedule("auto", "float64", stats=from_lists,
-                              cache=fmm.cache, kernel=kernel)
-    assert s1.backends == s2.backends
 
 
 def test_rejects_unknown_mode_and_dtype(points):

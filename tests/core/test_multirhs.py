@@ -4,9 +4,9 @@ The tentpole claim of the batched-density path: stacking ``nrhs``
 densities into one apply changes the schedule (nrhs-fold wider GEMMs,
 pseudo-box FFT rows) but not the mathematics — every column of the
 stacked result matches the corresponding single-RHS apply to strict
-round-off (≤1e-12), on both M2L modes and on the per-box reference
-path, and the flat-block matvec interface is a pure reshape of the
-stacked one.
+round-off (≤1e-12) on both M2L modes, every column matches the naive
+O(N^2) sum of that column, and the flat-block matvec interface is a
+pure reshape of the stacked one.
 """
 
 import numpy as np
@@ -15,7 +15,7 @@ import pytest
 from repro.core.evaluator import coerce_density
 from repro.core.fmm import FMMOptions, KIFMM
 from repro.kernels import LaplaceKernel, StokesKernel
-from repro.kernels.direct import relative_error
+from repro.kernels.direct import direct_evaluate, relative_error
 
 from tests.conftest import clustered_cloud, uniform_cloud
 
@@ -23,6 +23,9 @@ KERNELS = {
     "laplace": LaplaceKernel(),
     "stokes": StokesKernel(mu=0.7),
 }
+
+#: Relative-error bound against direct summation at p=4 per kernel.
+TOL = {"laplace": 1e-3, "stokes": 1e-2}
 
 
 def _column_parity(op, rng, n, dof, nrhs):
@@ -46,10 +49,15 @@ def test_planned_columns_match_single_rhs(rng, kname, m2l):
 
 @pytest.mark.parametrize("kname", ["laplace", "stokes"])
 def test_naive_path_loops_columns(rng, kname):
+    """Every block column matches the naive O(N^2) sum of that column."""
     kern = KERNELS[kname]
     pts = uniform_cloud(rng, 400)
-    op = KIFMM(kern, FMMOptions(p=4, max_points=30, plan="naive")).setup(pts)
-    _column_parity(op, rng, 400, kern.source_dof, 3)
+    op = KIFMM(kern, FMMOptions(p=4, max_points=30)).setup(pts)
+    block = rng.standard_normal((400, kern.source_dof, 3))
+    out = op.apply(block)
+    for r in range(3):
+        exact = direct_evaluate(kern, pts, pts, block[:, :, r])
+        assert relative_error(out[:, :, r], exact) < TOL[kname]
 
 
 def test_block_matvec_is_reshape_of_stacked_apply(rng):

@@ -22,9 +22,7 @@ from tests.conftest import clustered_cloud, uniform_cloud
 def test_laplace_clustered(rng, nranks):
     pts = clustered_cloud(rng, 600)
     phi = rng.standard_normal((600, 1))
-    # plan="naive": the rank simulation mirrors the per-box evaluator;
-    # the batched plan reorders accumulations and only matches to ~1e-12.
-    opts = FMMOptions(p=4, max_points=25, plan="naive")
+    opts = FMMOptions(p=4, max_points=25)
     seq = KIFMM(LaplaceKernel(), opts).setup(pts).apply(phi)
     par = run_parallel_fmm(nranks, LaplaceKernel(), pts, phi, opts)
     assert relative_error(par.potential, seq) < 1e-12
@@ -34,7 +32,7 @@ def test_laplace_clustered(rng, nranks):
 def test_stokes_uniform(rng, nranks):
     pts = uniform_cloud(rng, 400)
     phi = rng.standard_normal((400, 3))
-    opts = FMMOptions(p=4, max_points=30, plan="naive")
+    opts = FMMOptions(p=4, max_points=30)
     seq = KIFMM(StokesKernel(), opts).setup(pts).apply(phi)
     par = run_parallel_fmm(nranks, StokesKernel(), pts, phi, opts)
     assert relative_error(par.potential, seq) < 1e-12
@@ -43,7 +41,7 @@ def test_stokes_uniform(rng, nranks):
 def test_modified_laplace_dense_m2l(rng):
     pts = clustered_cloud(rng, 400)
     phi = rng.standard_normal((400, 1))
-    opts = FMMOptions(p=4, max_points=25, m2l="dense", plan="naive")
+    opts = FMMOptions(p=4, max_points=25, m2l="dense")
     seq = KIFMM(ModifiedLaplaceKernel(2.0), opts).setup(pts).apply(phi)
     par = run_parallel_fmm(3, ModifiedLaplaceKernel(2.0), pts, phi, opts)
     assert relative_error(par.potential, seq) < 1e-12
@@ -52,7 +50,7 @@ def test_modified_laplace_dense_m2l(rng):
 def test_single_rank_equals_sequential(rng):
     pts = uniform_cloud(rng, 300)
     phi = rng.standard_normal((300, 1))
-    opts = FMMOptions(p=4, max_points=30, plan="naive")
+    opts = FMMOptions(p=4, max_points=30)
     seq = KIFMM(LaplaceKernel(), opts).setup(pts).apply(phi)
     par = run_parallel_fmm(1, LaplaceKernel(), pts, phi, opts)
     assert relative_error(par.potential, seq) < 1e-14

@@ -1,11 +1,10 @@
 """The persistent planned parallel operator: parity, repeats, overlap.
 
 The tentpole claims of the setup/apply split: the LET-local execution
-plan computes the same potentials as the sequential batched evaluator
-and the per-box naive path, repeated applies of one operator are
-bitwise identical (the pooled buffers are re-zeroed, the exchange is
-deterministic), and the overlap flag changes scheduling but not a
-single bit of the result.
+plan computes the same potentials as the sequential planned evaluator,
+repeated applies of one operator are bitwise identical (the pooled
+buffers are re-zeroed, the exchange is deterministic), and the overlap
+flag changes scheduling but not a single bit of the result.
 """
 
 import numpy as np
@@ -31,12 +30,9 @@ def test_laplace_parity(rng, nranks, dist):
     pts = _cloud(rng, dist, 700)
     phi = rng.standard_normal((700, 1))
     opts = FMMOptions(p=4, max_points=30)
-    seq_batched = KIFMM(LaplaceKernel(), opts).setup(pts).apply(phi)
-    naive = FMMOptions(p=4, max_points=30, plan="naive")
-    seq_naive = KIFMM(LaplaceKernel(), naive).setup(pts).apply(phi)
+    seq = KIFMM(LaplaceKernel(), opts).setup(pts).apply(phi)
     par = run_parallel_fmm(nranks, LaplaceKernel(), pts, phi, opts)
-    assert relative_error(par.potential, seq_batched) < 1e-9
-    assert relative_error(par.potential, seq_naive) < 1e-9
+    assert relative_error(par.potential, seq) < 1e-9
 
 
 @pytest.mark.parametrize("nranks", [1, 2, 4])
@@ -45,12 +41,9 @@ def test_stokes_parity(rng, nranks, dist):
     pts = _cloud(rng, dist, 500)
     phi = rng.standard_normal((500, 3))
     opts = FMMOptions(p=4, max_points=35)
-    seq_batched = KIFMM(StokesKernel(), opts).setup(pts).apply(phi)
-    naive = FMMOptions(p=4, max_points=35, plan="naive")
-    seq_naive = KIFMM(StokesKernel(), naive).setup(pts).apply(phi)
+    seq = KIFMM(StokesKernel(), opts).setup(pts).apply(phi)
     par = run_parallel_fmm(nranks, StokesKernel(), pts, phi, opts)
-    assert relative_error(par.potential, seq_batched) < 1e-9
-    assert relative_error(par.potential, seq_naive) < 1e-9
+    assert relative_error(par.potential, seq) < 1e-9
 
 
 def test_repeated_applies_bitwise_identical(rng):
@@ -123,11 +116,6 @@ def test_rsvd_and_auto_m2l_planned_path(rng, m2l, dtype, tol):
     seq = KIFMM(LaplaceKernel(), opts).setup(pts).apply(phi)
     par = run_parallel_fmm(3, LaplaceKernel(), pts, phi, opts)
     assert relative_error(par.potential, seq) < tol
-    naive = run_parallel_fmm(
-        3, LaplaceKernel(), pts, phi,
-        FMMOptions(p=4, max_points=30, m2l=m2l, dtype=dtype, plan="naive"),
-    )
-    assert relative_error(naive.potential, seq) < tol
 
 
 def test_matvec_shape_for_gmres(rng):
@@ -136,11 +124,6 @@ def test_matvec_shape_for_gmres(rng):
     op.setup(pts)
     out = op.matvec(rng.standard_normal(900))
     assert out.shape == (900,)
-
-
-def test_parallel_fmm_rejects_naive_plan():
-    with pytest.raises(ValueError, match="batched"):
-        ParallelFMM(2, LaplaceKernel(), FMMOptions(plan="naive"))
 
 
 def test_apply_before_setup_raises():
@@ -163,7 +146,7 @@ def test_timer_phases_include_pack_and_wait(rng):
 
 
 def test_shared_cache_reused_across_paths(rng):
-    """The hoisted cache is accepted by both drivers and KIFMM.setup."""
+    """The hoisted cache is accepted by the parallel driver and KIFMM.setup."""
     pts = uniform_cloud(rng, 400)
     phi = rng.standard_normal((400, 1))
     opts = FMMOptions(p=4, max_points=30)
@@ -173,16 +156,24 @@ def test_shared_cache_reused_across_paths(rng):
         pts, root=(corner, side), cache=cache
     ).apply(phi)
     planned = run_parallel_fmm(2, LaplaceKernel(), pts, phi, opts, cache=cache)
-    naive = run_parallel_fmm(
-        2, LaplaceKernel(), pts, phi,
-        FMMOptions(p=4, max_points=30, plan="naive"), cache=cache,
-    )
     assert relative_error(planned.potential, seq) < 1e-9
-    assert relative_error(naive.potential, seq) < 1e-9
 
 
 def test_mismatched_cache_root_rejected(rng):
+    """A cache for another cube is rejected, never silently rescaled."""
     pts = uniform_cloud(rng, 200)
+    phi = rng.standard_normal((200, 1))
+    opts = FMMOptions(p=4, max_points=30)
     cache = OperatorCache(LaplaceKernel(), 4, 123.0)
-    with pytest.raises(ValueError, match="root_side"):
-        KIFMM(LaplaceKernel(), FMMOptions(p=4)).setup(pts, cache=cache)
+    entry_points = [
+        lambda: KIFMM(LaplaceKernel(), opts).setup(pts, cache=cache),
+        lambda: run_parallel_fmm(
+            1, LaplaceKernel(), pts, phi, opts, cache=cache
+        ),
+        lambda: run_parallel_fmm(
+            2, LaplaceKernel(), pts, phi, opts, cache=cache
+        ),
+    ]
+    for run in entry_points:
+        with pytest.raises(ValueError, match="root_side"):
+            run()

@@ -1,36 +1,21 @@
-"""Unit tests of the parallel evaluator's building blocks."""
+"""Unit tests of the rank executor's building blocks."""
 
 import numpy as np
-import pytest
 
-from repro.core.fmm import FMMOptions, KIFMM
-from repro.core.precompute import OperatorCache
+from repro.core.fmm import FMMOptions
 from repro.kernels import LaplaceKernel
-from repro.octree import build_tree
-from repro.parallel.pfmm import _octant, _upward_local
+from repro.parallel import ParallelFMM
 
 from tests.conftest import clustered_cloud
 
 
-class TestOctant:
-    def test_all_children_distinct(self, rng):
-        tree = build_tree(rng.uniform(-1, 1, (200, 3)), max_points=20)
-        for b in tree.boxes:
-            if b.is_leaf:
-                continue
-            octants = {_octant(tree.boxes[c]) for c in b.children}
-            assert len(octants) == len(b.children)
-            assert all(0 <= o < 8 for o in octants)
-
-    def test_matches_anchor_parity(self, rng):
-        tree = build_tree(rng.uniform(-1, 1, (200, 3)), max_points=20)
-        for b in tree.boxes:
-            if b.parent < 0:
-                continue
-            o = _octant(b)
-            assert (o & 1) == (b.anchor[0] & 1)
-            assert ((o >> 1) & 1) == (b.anchor[1] & 1)
-            assert ((o >> 2) & 1) == (b.anchor[2] & 1)
+def _upward(state, local_phi):
+    """Run one rank's partial upward pass on ``local_phi`` (local order)."""
+    tree, cache = state.tree, state.cache
+    ue3 = np.zeros((tree.nboxes, 1, cache.n_surf * state.kernel.source_dof))
+    phi_rm = np.ascontiguousarray(local_phi[tree.src_perm][None])
+    state._upward(ue3, phi_rm)
+    return ue3[:, 0]
 
 
 class TestUpwardLocal:
@@ -40,9 +25,11 @@ class TestUpwardLocal:
         kernel = LaplaceKernel()
         pts = clustered_cloud(rng, 400)
         phi = rng.standard_normal((400, 1))
-        tree = build_tree(pts, max_points=25)
-        cache = OperatorCache(kernel, 4, tree.root_side)
-        ue, has_ue = _upward_local(tree, kernel, cache, phi)
+        op = ParallelFMM(1, kernel, FMMOptions(p=4, max_points=25)).setup(pts)
+        state = op._states[0]
+        tree, cache = state.tree, state.cache
+        local_phi = phi[op._parts[0]]
+        ue = _upward(state, local_phi)
         # compare a leaf's density against a direct S2M computation
         leaf = tree.leaves()[0]
         b = tree.boxes[leaf]
@@ -51,23 +38,24 @@ class TestUpwardLocal:
             tree.src_points(leaf),
         )
         expected = cache.uc2ue(b.level) @ (
-            K @ phi[tree.src_indices(leaf)].reshape(-1)
+            K @ local_phi[tree.src_indices(leaf)].reshape(-1)
         )
         assert np.allclose(ue[leaf], expected)
         # every box with sources has a density
         for b in tree.boxes:
-            assert has_ue[b.index] == (b.nsrc > 0)
+            assert ue[b.index].any() == (b.nsrc > 0)
 
     def test_linearity_of_partials(self, rng):
         """Partial densities are linear in the local sources — the
         property the owner-side summation relies on."""
         kernel = LaplaceKernel()
         pts = clustered_cloud(rng, 300)
-        tree = build_tree(pts, max_points=25)
-        cache = OperatorCache(kernel, 4, tree.root_side)
-        p1 = rng.standard_normal((300, 1))
-        p2 = rng.standard_normal((300, 1))
-        ue1, _ = _upward_local(tree, kernel, cache, p1)
-        ue2, _ = _upward_local(tree, kernel, cache, p2)
-        ue12, _ = _upward_local(tree, kernel, cache, p1 + p2)
-        assert np.allclose(ue12, ue1 + ue2, atol=1e-12)
+        op = ParallelFMM(2, kernel, FMMOptions(p=4, max_points=25)).setup(pts)
+        for state in op._states:
+            ns = state.tree.sources.shape[0]
+            p1 = rng.standard_normal((ns, 1))
+            p2 = rng.standard_normal((ns, 1))
+            ue1 = _upward(state, p1)
+            ue2 = _upward(state, p2)
+            ue12 = _upward(state, p1 + p2)
+            assert np.allclose(ue12, ue1 + ue2, atol=1e-12)

@@ -1,19 +1,22 @@
-"""Seeded schedule-perturbation stress tests (satellite of the analysis PR).
+"""Seeded schedule-perturbation stress tests.
 
-The ghost exchange and LET gather protocols must be schedule
-independent: whatever interleaving the thread scheduler produces, every
-rank must end up with bitwise-identical data.  We fuzz 10 perturbed
-schedules per protocol (seeded random yields inside every SimComm call)
-and compare against an unperturbed reference run.
+The ghost exchange, equivalent-density reduction and LET gather
+protocols must be schedule independent: whatever interleaving the
+thread scheduler produces, every rank must end up with bitwise-identical
+data.  We fuzz 10 perturbed schedules per protocol (seeded random yields
+inside every SimComm call) and compare against an unperturbed reference
+run.  The exchanges run under both communication schemes.
 """
 
 import numpy as np
 import pytest
 
 from repro.analysis import CommTrace, check_trace, compare_traces
-from repro.parallel.exchange import exchange_equiv_densities, exchange_source_data
+from repro.parallel.exchange import EXCHANGE_SCHEMES, exchange_source_geometry
 from repro.parallel.let import LETUsage, gather_users
 from repro.parallel.simmpi import run_spmd
+
+from tests.parallel.test_exchange import reduce_equiv_densities
 
 NRANKS = 4
 NBOXES = 24
@@ -31,7 +34,7 @@ def _random_topology(rng):
     return contrib, users, owner
 
 
-def _ghost_exchange_once(contrib, users, owner, seed):
+def _ghost_exchange_once(contrib, users, owner, seed, scheme):
     boxes = np.arange(NBOXES)
 
     def main(comm):
@@ -40,12 +43,8 @@ def _ghost_exchange_once(contrib, users, owner, seed):
             b: np.full((3, 3), 100.0 * me + b)
             for b in range(NBOXES) if contrib[me, b]
         }
-        dens = {
-            b: np.full((3, 2), 10.0 * me + b)
-            for b in range(NBOXES) if contrib[me, b]
-        }
-        return exchange_source_data(
-            comm, boxes, contrib, users, owner, pts, dens
+        return exchange_source_geometry(
+            comm, boxes, contrib, users, owner, pts, scheme=scheme
         )
 
     trace = CommTrace()
@@ -60,46 +59,51 @@ def _flatten(results):
     out = []
     for rank_result in results:
         for b in sorted(rank_result):
-            pts, dens = rank_result[b]
-            out.append((b, pts.tobytes(), dens.tobytes()))
+            out.append((b, rank_result[b].tobytes()))
     return out
 
 
 def test_ghost_exchange_bitwise_identical_across_schedules(rng):
     contrib, users, owner = _random_topology(rng)
-    reference, _ = _ghost_exchange_once(contrib, users, owner, seed=None)
-    ref_flat = _flatten(reference)
-    traces = []
-    for seed in range(NSCHEDULES):
-        results, trace = _ghost_exchange_once(contrib, users, owner, seed)
-        assert _flatten(results) == ref_flat, f"schedule {seed} diverged"
-        traces.append(trace)
-    assert compare_traces(traces).ok
+    for scheme in EXCHANGE_SCHEMES:
+        reference, _ = _ghost_exchange_once(
+            contrib, users, owner, None, scheme
+        )
+        ref_flat = _flatten(reference)
+        traces = []
+        for seed in range(NSCHEDULES):
+            results, trace = _ghost_exchange_once(
+                contrib, users, owner, seed, scheme
+            )
+            assert _flatten(results) == ref_flat, (
+                f"{scheme} schedule {seed} diverged"
+            )
+            traces.append(trace)
+        assert compare_traces(traces).ok
 
 
 def test_equiv_density_reduction_bitwise_identical_across_schedules(rng):
     contrib, users, owner = _random_topology(rng)
-    boxes = np.arange(NBOXES)
     partials = rng.standard_normal((NRANKS, NBOXES, 6))
+    partials[~contrib] = 0.0  # only contributors hold partial densities
 
-    def main(comm):
-        me = comm.rank
-        has = contrib[me].copy()
-        return exchange_equiv_densities(
-            comm, boxes, contrib, users, owner, partials[me], has
-        )
+    for scheme in EXCHANGE_SCHEMES:
 
-    def flat(results):
-        return [
-            (b, r[b].tobytes()) for r in results for b in sorted(r)
-        ]
+        def main(comm, scheme=scheme):
+            return reduce_equiv_densities(
+                comm, contrib, users, owner, partials[comm.rank], scheme
+            )
 
-    reference = flat(run_spmd(NRANKS, main))
-    for seed in range(NSCHEDULES):
-        trace = CommTrace()
-        results = run_spmd(NRANKS, main, trace=trace, schedule_seed=seed)
-        assert flat(results) == reference, f"schedule {seed} diverged"
-        assert check_trace(trace).ok
+        reference = _flatten(run_spmd(NRANKS, main))
+        for seed in range(NSCHEDULES):
+            trace = CommTrace()
+            results = run_spmd(
+                NRANKS, main, trace=trace, schedule_seed=seed
+            )
+            assert _flatten(results) == reference, (
+                f"{scheme} schedule {seed} diverged"
+            )
+            assert check_trace(trace).ok
 
 
 def test_let_gather_users_bitwise_identical_across_schedules(rng):
@@ -128,6 +132,7 @@ def test_let_gather_users_bitwise_identical_across_schedules(rng):
 def test_perturbation_is_reproducible(seed, rng):
     """Same seed, same trace digests: the fuzzing itself is deterministic."""
     contrib, users, owner = _random_topology(rng)
-    _, t1 = _ghost_exchange_once(contrib, users, owner, seed)
-    _, t2 = _ghost_exchange_once(contrib, users, owner, seed)
-    assert compare_traces([t1, t2]).ok
+    for scheme in EXCHANGE_SCHEMES:
+        _, t1 = _ghost_exchange_once(contrib, users, owner, seed, scheme)
+        _, t2 = _ghost_exchange_once(contrib, users, owner, seed, scheme)
+        assert compare_traces([t1, t2]).ok

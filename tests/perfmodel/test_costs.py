@@ -8,7 +8,6 @@ times the work the implementation performs.
 import numpy as np
 import pytest
 
-from repro.core.evaluator import evaluate
 from repro.core.fmm import FMMOptions, KIFMM
 from repro.kernels import LaplaceKernel, StokesKernel
 from repro.octree import build_lists, build_tree
