@@ -21,7 +21,8 @@ tooling" and § "Race detection & sanitizers"):
   escapes, mutable defaults, request completion, plan-stage metadata)
   run as ``python -m repro.analysis.lint src/``.
 - :mod:`repro.analysis.planir` / :mod:`repro.analysis.plancheck` — the
-  static plan verifier (``repro plancheck``): compiled execution plans
+  static plan verifier (``repro plancheck``): the planned executor's
+  program — sequential (no exchange) or one rank with its exchange —
   extracted as a dataflow IR and certified without running an apply —
   buffer liveness, dtype-flow with explicit-narrowing enforcement,
   overlap-schedule happens-before consistency, and an exact flop-budget
@@ -47,7 +48,6 @@ from repro.analysis.trace import CommTrace, TraceEvent, payload_digest
 # resolve lazily (PEP 562) to keep the import graph acyclic.
 _PLAN_EXPORTS = {
     "PlanIR": "planir",
-    "extract_plan_ir": "planir",
     "extract_rank_ir": "planir",
     "PlanReport": "plancheck",
     "certify_parallel": "plancheck",
@@ -96,7 +96,6 @@ __all__ = [
     "check_trace",
     "compare_traces",
     "extract_comm_ir",
-    "extract_plan_ir",
     "extract_rank_ir",
     "static_plan_inputs",
     "payload_digest",

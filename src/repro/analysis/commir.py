@@ -526,7 +526,7 @@ def _emit_apply_flat(pb: _Programs, inputs: StaticPlanInputs) -> None:
 
 def _emit_vsp(pb: _Programs, inputs: StaticPlanInputs) -> None:
     """Coarse-split broadcasts: every participant iterates the shared
-    ascending ``(level, box)`` schedule (mirrors ``_v_split_bcast``)."""
+    ascending ``(level, box)`` schedule (mirrors ``RankExchange.split_bcast``)."""
     for lvl, schedule in inputs.vsp_levels:
         for bx, root, parts in schedule:
             _emit_tree_bcast(

@@ -1,8 +1,9 @@
 """Static certification of compiled execution plans.
 
-Five checks run over the plan IR of :mod:`repro.analysis.planir` —
-no apply is executed, yet together they certify the properties a run
-would exhibit:
+Five checks run over the plan IR of :mod:`repro.analysis.planir` — the
+one planned executor's program, sequential (no exchange) or one rank's
+with its exchange.  No apply is executed, yet together they certify
+the properties a run would exhibit:
 
 ``dataflow``
     Region-granular buffer liveness: every read is preceded by a write
@@ -55,7 +56,6 @@ from repro.analysis.planir import (
     FLOP_PHASES,
     PlanIR,
     StageNode,
-    extract_plan_ir,
     extract_rank_ir,
     rebuild_deps,
     region_family,
@@ -347,19 +347,17 @@ def run_checks(
 def sequential_ir(fmm: KIFMM, nrhs: int = 1) -> tuple[PlanIR, dict[str, float]]:
     """IR + expected work volumes of an already-set-up sequential operator.
 
-    Split out from :func:`certify_sequential` so a certification sweep
-    can reuse one setup across the ``nrhs`` axis of its matrix.
+    The sequential operator is the planned executor with no exchange, so
+    its IR comes from the same extractor as a rank's.  Split out from
+    :func:`certify_sequential` so a certification sweep can reuse one
+    setup across the ``nrhs`` axis of its matrix.
     """
     if fmm._plan is None:
         raise ValueError("configuration does not produce a batched plan")
-    opts = fmm.options
-    sched = fmm.m2l_schedule
-    ir = extract_plan_ir(
-        fmm._plan, fmm.kernel, fmm.cache, m2l_mode=sched, nrhs=nrhs,
-    )
+    ir = extract_rank_ir(fmm, nrhs=nrhs)
     expected = compute_work(
-        fmm.tree, fmm.lists, fmm.kernel, opts.p, m2l=sched, nrhs=nrhs,
-        rsvd_rank=fmm.cache.m2l_rsvd_rank,
+        fmm.tree, fmm.lists, fmm.kernel, fmm.options.p,
+        m2l=fmm.m2l_schedule, nrhs=nrhs, rsvd_rank=fmm.cache.m2l_rsvd_rank,
     ).totals()
     return ir, expected
 
@@ -440,7 +438,7 @@ def rank_ir(
             state.tree.nboxes,
         ),
         nrhs=nrhs, up_nsrc=local_nsrc,
-        v_targets=getattr(state, "v_compute", None),
+        v_targets=state.v_compute,
     ).totals()
     return ir, expected
 

@@ -1,19 +1,20 @@
 """Plan IR: compiled execution plans as a static dataflow graph.
 
-The planned evaluators (:func:`repro.core.evaluator.evaluate_planned`
-and :meth:`repro.parallel.pfmm.RankFMM.apply`) run a *fixed* sequence of
-batched stages over precompiled index arrays — the program is data, so
-it can be verified without being run.  This module extracts that
-program: every stage of an :class:`~repro.core.plan.ExecutionPlan` (and,
-for a rank of the parallel algorithm, every communication step of its
+The planned executor (:class:`repro.core.evaluator.PlannedExecutor`)
+runs a *fixed* sequence of batched stages over precompiled index arrays
+— the program is data, so it can be verified without being run.  This
+module extracts that program: every stage of an
+:class:`~repro.core.plan.ExecutionPlan` (and, for a rank of the parallel
+algorithm, every communication step of its
 :class:`~repro.parallel.exchange.ApplyExchange`) becomes a
 :class:`StageNode` that records which buffer *regions* it reads, writes
 and releases, the dtype of the values it produces, and the exact flop
-count the evaluator's :class:`~repro.util.flops.FlopCounter` would
-charge for it.
+count the executor's :class:`~repro.util.flops.FlopCounter` charges for
+it.  The sequential operator is the same executor with no exchange, so
+one extractor, :func:`extract_rank_ir`, covers both.
 
 Regions are level-granular slices of the apply-time buffers, named
-``family@level`` (``"ue@3"``, ``"dc@2"``) or, on the parallel path,
+``family@level`` (``"ue@3"``, ``"dc@2"``) or, with an exchange,
 ``family:split`` for the exchange-defined parts (``"ue:own"``,
 ``"ue:ghost"``, ``"ext_phi:ghost"``); ``"phi"`` and ``"pot"`` are the
 sorted input densities and output potentials.  Communication appears as
@@ -21,10 +22,10 @@ explicit ``post``/``relay``/``wait`` nodes, so the overlap schedule —
 which reads may run before the scatter wait — is part of the graph.
 
 The checks themselves live in :mod:`repro.analysis.plancheck`; this
-module only defines the IR and the two extractors, plus
-:func:`rebuild_deps`, which recomputes the dependency edges from node
-order and the read/write sets (used after seeding defects for the
-verifier's self-tests).
+module only defines the IR and the extractor, plus :func:`rebuild_deps`,
+which recomputes the dependency edges from node order and the
+read/write sets (used after seeding defects for the verifier's
+self-tests).
 """
 
 from __future__ import annotations
@@ -33,11 +34,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.evaluator import _rsvd_pair_flops, resolve_kernels
-from repro.core.m2lschedule import M2LSchedule, as_schedule, v_stats_from_plan
+from repro.core.evaluator import _rsvd_pair_flops
 from repro.core.plan import ExecutionPlan
-from repro.core.precompute import OperatorCache
-from repro.kernels.base import Kernel
 
 #: Flop phases compared against the performance model (the evaluator's
 #: FlopCounter phases; ``comm``/``io`` nodes carry no flops).
@@ -204,11 +202,11 @@ def _emit_up_levels(
     b: _IRBuilder, plan: ExecutionPlan, *, n_surf, qd, md, mv2, nrhs,
     src_fpp, region, stage="UpLevel",
 ) -> None:
-    """Upward-pass nodes, shared verbatim by both extractors.
+    """Upward-pass nodes.
 
     ``region(level)`` names the per-level upward-density region —
-    ``"ue@L"`` sequentially, ``"ue:partial@L"`` on a rank (where the
-    partial densities are consumed by the exchange, not by V/W).
+    ``"ue@L"`` without an exchange, ``"ue:partial@L"`` on a rank (where
+    the partial densities are consumed by the exchange, not by V/W).
     """
     for ul in plan.up_levels:
         lvl = ul.level
@@ -238,7 +236,7 @@ def _emit_up_levels(
 def _emit_down_level(
     b: _IRBuilder, dl, *, n_surf, mv2, nrhs, src_fpp, trg_fpp, x_reads,
 ) -> None:
-    """One DownLevel's l2l/x/dc2de/l2t nodes (both extractors)."""
+    """One DownLevel's l2l/x/dc2de/l2t nodes."""
     lvl = dl.level
     if dl.l2l_groups:
         nkids = sum(kids.size for _, kids, _ in dl.l2l_groups)
@@ -289,280 +287,173 @@ def _declare_levelwise(
         b.buffer(f"de@{lvl}", (int(counts[lvl]), n_surf * md), "float64")
 
 
-def extract_plan_ir(
-    plan: ExecutionPlan,
-    kernel: Kernel,
-    cache: OperatorCache,
-    *,
-    m2l_mode: str | M2LSchedule = "fft",
-    nrhs: int = 1,
-    source_kernel: Kernel | None = None,
-    target_kernel: Kernel | None = None,
-    direct_kernel: Kernel | None = None,
-) -> PlanIR:
-    """The dataflow IR of one sequential execution plan.
-
-    Mirrors the stage order, buffer lifecycle and flop accounting of
-    :func:`repro.core.evaluator.evaluate_planned` exactly — the per-phase
-    flop totals of the returned IR are bit-identical to the counter of a
-    real apply (asserted by ``tests/analysis/test_plancheck.py``).
-    ``m2l_mode`` accepts a mode string or a resolved
-    :class:`~repro.core.m2lschedule.M2LSchedule`; rsvd-scheduled levels
-    emit ``RsvdLevel`` nodes whose dtype records the factor precision,
-    with ``narrowing=True`` for the declared float32 mixed-precision
-    mode (accumulation stays float64, so the ``dc`` buffers keep their
-    dtype).
-    """
-    sched = as_schedule(
-        m2l_mode, stats=v_stats_from_plan(plan), cache=cache, kernel=kernel
-    )
-    src_k, trg_k, dir_k = resolve_kernels(
-        kernel, source_kernel, target_kernel, direct_kernel
-    )
-    n_surf = cache.n_surf
-    md, qd = kernel.source_dof, kernel.target_dof
-    sdof, out_dof = src_k.source_dof, trg_k.target_dof
-    ns = int(plan.sources_sorted.shape[0])
-    nt = int(plan.targets_sorted.shape[0])
-    mv2 = 2.0 * (n_surf * md) * (n_surf * qd)
-    _, fft_pair, per_fft = _fft_constants(cache.p, n_surf, md, qd)
-
-    b = _IRBuilder(
-        meta={
-            "mode": "sequential", "kernel": type(kernel).__name__,
-            "p": cache.p, "depth": plan.depth, "m2l": sched.mode,
-            "m2l_schedule": sched.describe(),
-            "nrhs": nrhs, "n_surf": n_surf, "md": md, "qd": qd,
-        }
-    )
-    b.buffer("phi", (ns, sdof), "float64")
-    b.buffer("pot", (nt, out_dof), "float64")
-    b.live_out.add("pot")
-    b.node("input", phase="io", kind="input", writes=("phi",))
-
-    ue_region = "ue@{}".format
-    _emit_up_levels(
-        b, plan, n_surf=n_surf, qd=qd, md=md, mv2=mv2, nrhs=nrhs,
-        src_fpp=src_k.flops_per_pair, region=lambda lvl: ue_region(lvl),
-    )
-    if plan.up_levels:
-        # The root-level upward density has no consumer (no V/W partners
-        # exist at the tree top) — it is computed-but-dead by design.
-        b.live_out.add(ue_region(min(ul.level for ul in plan.up_levels)))
-
-    _declare_levelwise(b, plan, n_surf=n_surf, qd=qd, md=md)
-    for vl in plan.v_levels:
-        lvl = vl.level
-        nsb, ntb = vl.src_boxes.size, vl.trg_boxes.size
-        backend = sched.backend(lvl)
-        if backend == "fft":
-            vhat = f"vhat@{lvl}"
-            nfreq, _, _ = _fft_constants(cache.p, n_surf, md, qd)
-            b.buffer(vhat, (nsb * md + ntb * qd, nfreq), "complex128")
-            b.node(
-                f"vfwd@{lvl}", phase="down_v", stage="VLevel",
-                reads=(ue_region(lvl),), writes=(vhat,),
-                dtype="complex128", flops=nsb * nrhs * per_fft(md),
-            )
-            b.node(
-                f"vhad@{lvl}", phase="down_v", stage="VLevel",
-                reads=(vhat,), writes=(vhat,), dtype="complex128",
-                flops=vl.npairs * nrhs * fft_pair,
-            )
-            b.node(
-                f"vinv@{lvl}", phase="down_v", stage="VLevel",
-                reads=(vhat,), writes=(f"dc@{lvl}",), releases=(vhat,),
-                flops=ntb * nrhs * per_fft(qd),
-            )
-        elif backend == "dense":
-            b.node(
-                f"v@{lvl}", phase="down_v", stage="VLevel",
-                reads=(ue_region(lvl),), writes=(f"dc@{lvl}",),
-                flops=vl.npairs * nrhs * mv2,
-            )
-        else:
-            # rsvd: the per-pair cost is the offset class's numerical
-            # rank, so the node sums class by class, mirroring the
-            # evaluator's per-class flop adds term for term.
-            rflops = sum(
-                len(src_pos) * nrhs
-                * _rsvd_pair_flops(
-                    cache.m2l_rsvd_rank(lvl, offset), n_surf, md, qd
-                )
-                for offset, src_pos, _ in vl.classes
-            )
-            b.node(
-                f"v@{lvl}", phase="down_v", stage="RsvdLevel",
-                reads=(ue_region(lvl),), writes=(f"dc@{lvl}",),
-                dtype="float32" if sched.dtype == "float32" else "float64",
-                narrowing=sched.dtype == "float32",
-                flops=rflops,
-            )
-
-    for dl in plan.down_levels:
-        _emit_down_level(
-            b, dl, n_surf=n_surf, mv2=mv2, nrhs=nrhs,
-            src_fpp=src_k.flops_per_pair, trg_fpp=trg_k.flops_per_pair,
-            x_reads=("phi",),
-        )
-
-    if plan.u_boxes.size:
-        u_pairs = int(
-            ((plan.u_trg_stop - plan.u_trg_start) * np.diff(plan.u_seg)).sum()
-        )
-        b.node(
-            "near_u", phase="down_u", stage="NearBlocks",
-            reads=("phi",), writes=("pot",),
-            flops=u_pairs * nrhs * dir_k.flops_per_pair,
-        )
-    if plan.w_boxes.size:
-        w_pairs = int(
-            ((plan.w_trg_stop - plan.w_trg_start) * np.diff(plan.w_seg)).sum()
-        )
-        w_levels = sorted({int(lv) for lv in plan.levels[plan.w_idx]})
-        b.node(
-            "near_w", phase="down_w", stage="NearBlocks",
-            reads=tuple(ue_region(lv) for lv in w_levels), writes=("pot",),
-            flops=n_surf * w_pairs * nrhs * trg_k.flops_per_pair,
-        )
-    b.node("output", phase="io", kind="output", reads=("pot",))
-    return b.build()
-
-
 def extract_rank_ir(state, *, nrhs: int = 1, overlap: bool = True) -> PlanIR:
-    """The dataflow IR of one rank's LET-local plan plus its exchange.
+    """The dataflow IR of one planned executor and its exchange, if any.
 
-    Mirrors :meth:`repro.parallel.pfmm.RankFMM.apply` in program order:
-    partial upward pass, ``post``/``relay`` of both exchange kinds, the
-    owned-data passes (U/W/V over owner-relayed data), the scatter
-    ``wait`` — *after* the owned passes when ``overlap`` is on, before
-    them otherwise — then the ghost passes and the downward sweep.
-    Exchange-delivered data lives in the split regions ``"ue:own"`` /
-    ``"ue:ghost"`` / ``"ext_phi:own"`` / ``"ext_phi:ghost"``, written by
-    the ``relay``/``wait`` nodes; every compute read of those regions
-    must be ordered after its communication writer, which is precisely
-    the happens-before condition the schedule check certifies.
+    ``state`` is a rank's :class:`~repro.parallel.pfmm.RankFMM` (its
+    LET-local plan plus the owner-mediated exchange) or a set-up
+    :class:`~repro.core.fmm.KIFMM` — the same executor with no exchange:
+    no communication nodes, every region own, and the per-level upward
+    densities ``ue@L`` feeding V/W directly.
+
+    Mirrors :meth:`repro.core.evaluator.PlannedExecutor.apply` in
+    program order: upward pass, ``post``/``relay`` of both exchange
+    kinds, the owned-data passes (U/W/V over owner-relayed data), the
+    scatter ``wait`` — *after* the owned passes when ``overlap`` is on,
+    before them otherwise — then the ghost V passes with the inverse
+    transforms and coarse-split exchanges, the downward sweep and the
+    ghost U/W passes.  Exchange-delivered data lives in the split
+    regions ``"ue:own"`` / ``"ue:ghost"`` / ``"ext_phi:own"`` /
+    ``"ext_phi:ghost"``, written by the ``relay``/``wait`` nodes; every
+    compute read of those regions must be ordered after its
+    communication writer, which is precisely the happens-before
+    condition the schedule check certifies.  The per-phase flop totals
+    equal the executor's :class:`~repro.util.flops.FlopCounter` of a
+    real apply bit for bit.  rsvd-scheduled levels emit ``RsvdLevel``
+    nodes whose dtype records the factor precision, with
+    ``narrowing=True`` for the declared float32 mixed-precision mode
+    (accumulation stays float64, so the ``dc`` buffers keep their dtype).
     """
-    plan, cache, lay = state.plan, state.cache, state.layout
-    kernel = state.kernel
-    src_k, trg_k, dir_k = state.src_k, state.trg_k, state.dir_k
-    sched = getattr(state, "m2l_schedule", None)
-    if sched is None:
-        # The rank's plan was built with global partner gating, so its
-        # V statistics resolve the same schedule every rank (and the
-        # sequential reference) sees.
-        sched = as_schedule(
-            state.options.m2l, dtype=state.options.dtype,
-            stats=v_stats_from_plan(plan), cache=cache, kernel=kernel,
-        )
+    ex = state.executor
+    lay = getattr(state, "layout", None)
+    plan, cache, kernel, sched = ex.plan, ex.cache, ex.kernel, ex.schedule
+    src_k, trg_k, dir_k = ex.src_k, ex.trg_k, ex.dir_k
     n_surf = cache.n_surf
     md, qd = kernel.source_dof, kernel.target_dof
     sdof, out_dof = src_k.source_dof, trg_k.target_dof
-    ns = int(state.tree.sources.shape[0])
-    nt = int(state.tree.targets.shape[0])
     mv2 = 2.0 * (n_surf * md) * (n_surf * qd)
     nfreq, fft_pair, per_fft = _fft_constants(cache.p, n_surf, md, qd)
 
     b = _IRBuilder(
         meta={
-            "mode": "parallel", "kernel": type(kernel).__name__,
+            "mode": "sequential" if lay is None else "parallel",
+            "kernel": type(kernel).__name__,
             "p": cache.p, "depth": plan.depth, "m2l": sched.mode,
             "m2l_schedule": sched.describe(),
             "nrhs": nrhs, "overlap": overlap, "n_surf": n_surf,
             "md": md, "qd": qd,
         }
     )
-    b.buffer("phi", (ns, sdof), "float64")
-    b.buffer("pot", (nt, out_dof), "float64")
+    b.buffer("phi", (ex.tree.src_perm.size, sdof), "float64")
+    b.buffer("pot", (ex.tree.trg_perm.size, out_dof), "float64")
     b.live_out.add("pot")
     b.node("input", phase="io", kind="input", writes=("phi",))
 
-    pr = "ue:partial@{}".format
+    up_region = ("ue@{}" if lay is None else "ue:partial@{}").format
     _emit_up_levels(
         b, plan, n_surf=n_surf, qd=qd, md=md, mv2=mv2, nrhs=nrhs,
-        src_fpp=src_k.flops_per_pair, region=lambda lvl: pr(lvl),
-    )
-    partial_regions = tuple(pr(ul.level) for ul in plan.up_levels)
-
-    # Exchange-defined regions: owner-relayed data (own) and the scatter
-    # (ghost), per payload kind.  Row counts come from the plans.
-    own_phi = [bx for bx, _, _, _, selfu in lay.phi.owned if selfu]
-    ghost_phi = [bx for bx, _ in lay.phi.recv_from]
-    own_ue = [bx for bx, _, _, _, selfu in lay.pue.owned if selfu]
-    ghost_ue = [bx for bx, _ in lay.pue.recv_from]
-
-    def ext_rows(boxes_):
-        return int(
-            sum(lay.ext_stop[bx] - lay.ext_start[bx] for bx in boxes_)
-        )
-
-    if own_phi:
-        b.buffer("ext_phi:own", (ext_rows(own_phi), sdof), "float64")
-    if ghost_phi:
-        b.buffer("ext_phi:ghost", (ext_rows(ghost_phi), sdof), "float64")
-    if own_ue:
-        b.buffer("ue:own", (len(own_ue), n_surf * md), "float64")
-    if ghost_ue:
-        b.buffer("ue:ghost", (len(ghost_ue), n_surf * md), "float64")
-
-    b.node(
-        "post:phi", phase="comm", kind="post", stage="ExchangePlan",
-        reads=("phi",),
-    )
-    b.node(
-        "post:pue", phase="comm", kind="post", stage="ExchangePlan",
-        reads=partial_regions,
-    )
-    b.node(
-        "relay:phi", phase="comm", kind="relay", stage="ExchangePlan",
-        reads=("phi",), writes=("ext_phi:own",) if own_phi else (),
-    )
-    b.node(
-        "relay:pue", phase="comm", kind="relay", stage="ExchangePlan",
-        reads=partial_regions, writes=("ue:own",) if own_ue else (),
+        src_fpp=src_k.flops_per_pair, region=up_region,
     )
 
-    def emit_waits() -> None:
+    if lay is None:
+        if plan.up_levels:
+            # The root-level upward density has no consumer (no V/W
+            # partners exist at the tree top): computed-but-dead by design.
+            b.live_out.add(up_region(min(ul.level for ul in plan.up_levels)))
+
+        def ue_in(split: str, levels) -> tuple[str, ...]:
+            return tuple(up_region(lv) for lv in levels)
+
+        def phi_in(split: str) -> tuple[str, ...]:
+            return ("phi",)
+
+        x_reads: tuple[str, ...] = ("phi",)
+    else:
+        # Exchange-defined regions: owner-relayed data (own) and the
+        # scatter (ghost), per payload kind.  Row counts come from the
+        # exchange plans.
+        partial_regions = tuple(up_region(ul.level) for ul in plan.up_levels)
+        own_phi = [bx for bx, _, _, _, selfu in lay.phi.owned if selfu]
+        ghost_phi = [bx for bx, _ in lay.phi.recv_from]
+        own_ue = [bx for bx, _, _, _, selfu in lay.pue.owned if selfu]
+        ghost_ue = [bx for bx, _ in lay.pue.recv_from]
+
+        def ext_rows(boxes_) -> int:
+            return int(
+                sum(lay.ext_stop[bx] - lay.ext_start[bx] for bx in boxes_)
+            )
+
+        if own_phi:
+            b.buffer("ext_phi:own", (ext_rows(own_phi), sdof), "float64")
+        if ghost_phi:
+            b.buffer("ext_phi:ghost", (ext_rows(ghost_phi), sdof), "float64")
+        if own_ue:
+            b.buffer("ue:own", (len(own_ue), n_surf * md), "float64")
+        if ghost_ue:
+            b.buffer("ue:ghost", (len(ghost_ue), n_surf * md), "float64")
+
+        for kind, reads in (("phi", ("phi",)), ("pue", partial_regions)):
+            b.node(
+                f"post:{kind}", phase="comm", kind="post",
+                stage="ExchangePlan", reads=reads,
+            )
         b.node(
-            "wait:phi", phase="comm", kind="wait", stage="ExchangePlan",
-            writes=("ext_phi:ghost",) if ghost_phi else (),
+            "relay:phi", phase="comm", kind="relay", stage="ExchangePlan",
+            reads=("phi",), writes=("ext_phi:own",) if own_phi else (),
         )
         b.node(
-            "wait:pue", phase="comm", kind="wait", stage="ExchangePlan",
-            writes=("ue:ghost",) if ghost_ue else (),
+            "relay:pue", phase="comm", kind="relay", stage="ExchangePlan",
+            reads=partial_regions, writes=("ue:own",) if own_ue else (),
         )
 
-    if not overlap:
-        emit_waits()
+        def emit_waits() -> None:
+            b.node(
+                "wait:phi", phase="comm", kind="wait", stage="ExchangePlan",
+                writes=("ext_phi:ghost",) if ghost_phi else (),
+            )
+            b.node(
+                "wait:pue", phase="comm", kind="wait", stage="ExchangePlan",
+                writes=("ue:ghost",) if ghost_ue else (),
+            )
 
-    def emit_near(blocks, split: str, tag: str) -> None:
-        pairs = _near_pairs(blocks)
-        if not pairs:
-            return
-        if tag == "u":
+        def ue_in(split: str, levels) -> tuple[str, ...]:
+            return (f"ue:{split}",)
+
+        def phi_in(split: str) -> tuple[str, ...]:
+            return (f"ext_phi:{split}",)
+
+        x_reads = tuple(
+            r for r, have in (
+                ("ext_phi:own", bool(own_phi)),
+                ("ext_phi:ghost", bool(ghost_phi)),
+            ) if have
+        )
+        if not overlap:
+            emit_waits()
+
+    def emit_near(split: str) -> None:
+        u, w = (ex.u_own, ex.w_own) if split == "own" else (
+            ex.u_ghost, ex.w_ghost
+        )
+        pairs = _near_pairs(u)
+        if pairs:
             b.node(
                 f"near_u:{split}", phase="down_u", stage="NearBlocks",
-                reads=(f"ext_phi:{split}",), writes=("pot",),
+                reads=phi_in(split), writes=("pot",),
                 flops=pairs * nrhs * dir_k.flops_per_pair,
             )
-        else:
+        pairs = _near_pairs(w)
+        if pairs:
+            levels = sorted({int(lv) for lv in plan.levels[w.src_pos]})
             b.node(
                 f"near_w:{split}", phase="down_w", stage="NearBlocks",
-                reads=(f"ue:{split}",), writes=("pot",),
+                reads=ue_in(split, levels), writes=("pot",),
                 flops=n_surf * pairs * nrhs * trg_k.flops_per_pair,
             )
 
     _declare_levelwise(b, plan, n_surf=n_surf, qd=qd, md=md)
 
-    def emit_v_split(split: str) -> None:
-        for vl, sp in zip(plan.v_levels, state.v_splits):
+    def emit_v(split: str) -> None:
+        ghost = split == "ghost"
+        for vl, sp in zip(plan.v_levels, ex.v_splits):
             lvl = vl.level
             backend = sched.backend(lvl)
-            rows = sp.own_rows if split == "own" else sp.ghost_rows
-            classes = sp.own_classes if split == "own" else sp.ghost_classes
-            npairs = sum(len(s) for _, s, _ in classes)
+            rows = sp.ghost_rows if ghost else sp.own_rows
+            classes = sp.ghost_classes if ghost else sp.own_classes
+            npairs = sp.ghost_pairs if ghost else sp.own_pairs
+            reads = ue_in(split, (lvl,))
+            vhat = f"vhat@{lvl}"
             if backend == "fft":
-                vhat = f"vhat@{lvl}"
                 if vhat not in b.buffers:
                     nsb, ntb = vl.src_boxes.size, vl.trg_boxes.size
                     b.buffer(
@@ -571,23 +462,25 @@ def extract_rank_ir(state, *, nrhs: int = 1, overlap: bool = True) -> PlanIR:
                 if rows.size:
                     b.node(
                         f"vfwd:{split}@{lvl}", phase="down_v",
-                        stage="_VSplit", reads=(f"ue:{split}",),
-                        writes=(vhat,), dtype="complex128",
+                        stage="VSplit", reads=reads, writes=(vhat,),
+                        dtype="complex128",
                         flops=rows.size * nrhs * per_fft(md),
                     )
                 if npairs:
                     b.node(
                         f"vhad:{split}@{lvl}", phase="down_v",
-                        stage="_VSplit", reads=(vhat,), writes=(vhat,),
+                        stage="VSplit", reads=(vhat,), writes=(vhat,),
                         dtype="complex128", flops=npairs * nrhs * fft_pair,
                     )
             elif backend == "dense" and npairs:
                 b.node(
-                    f"v:{split}@{lvl}", phase="down_v", stage="_VSplit",
-                    reads=(f"ue:{split}",), writes=(f"dc@{lvl}",),
+                    f"v:{split}@{lvl}", phase="down_v", stage="VSplit",
+                    reads=reads, writes=(f"dc@{lvl}",),
                     flops=npairs * nrhs * mv2,
                 )
             elif npairs:
+                # The per-pair cost is the offset class's numerical rank,
+                # so the node sums class by class like the executor.
                 rflops = sum(
                     len(src_sel) * nrhs
                     * _rsvd_pair_flops(
@@ -596,65 +489,53 @@ def extract_rank_ir(state, *, nrhs: int = 1, overlap: bool = True) -> PlanIR:
                     for offset, src_sel, _ in classes
                 )
                 b.node(
-                    f"v:{split}@{lvl}", phase="down_v", stage="_VSplit",
-                    reads=(f"ue:{split}",), writes=(f"dc@{lvl}",),
+                    f"v:{split}@{lvl}", phase="down_v", stage="RsvdLevel",
+                    reads=reads, writes=(f"dc@{lvl}",),
                     dtype="float32" if sched.dtype == "float32"
                     else "float64",
                     narrowing=sched.dtype == "float32",
                     flops=rflops,
                 )
-
-    # Owned-data passes (the overlap window's compute).
-    emit_near(state.u_own, "own", "u")
-    emit_near(state.w_own, "own", "w")
-    emit_v_split("own")
-
-    if overlap:
-        emit_waits()
-
-    # Ghost-dependent passes.  At coarse split levels the inverse
-    # transform covers only this rank's assigned boxes (``inv_rows``)
-    # and the level ends with the split exchange: ``post:vsp`` ships the
-    # locally-computed downward-check rows, ``wait:vsp`` delivers the
-    # remotely-computed ones into the same per-level region.
-    emit_v_split("ghost")
-    for vl, sp in zip(plan.v_levels, state.v_splits):
-        lvl = vl.level
-        if sched.backend(lvl) == "fft":
+            if not ghost:
+                continue
+            # Each level ends with its inverse transform — at a coarse
+            # split level only over this rank's assigned boxes — and the
+            # split exchange: ``post:vsp`` ships the locally-computed
+            # downward-check rows, ``wait:vsp`` delivers the remote ones
+            # into the same per-level region.
             ninv = (
-                int(sp.inv_rows.size) if sp.inv_rows is not None
-                else int(vl.trg_boxes.size)
+                vl.trg_boxes.size if sp.inv_rows is None
+                else sp.inv_rows.size
             )
-            if ninv:
+            if backend == "fft" and ninv:
                 b.node(
                     f"vinv@{lvl}", phase="down_v", stage="VLevel",
-                    reads=(f"vhat@{lvl}",), writes=(f"dc@{lvl}",),
-                    releases=(f"vhat@{lvl}",),
-                    flops=ninv * nrhs * per_fft(qd),
+                    reads=(vhat,), writes=(f"dc@{lvl}",),
+                    releases=(vhat,), flops=ninv * nrhs * per_fft(qd),
                 )
-        if getattr(sp, "bcast", None):
-            b.node(
-                f"post:vsp@{lvl}", phase="comm", kind="post",
-                stage="CoarseSplit", reads=(f"dc@{lvl}",),
-            )
-            b.node(
-                f"wait:vsp@{lvl}", phase="comm", kind="wait",
-                stage="CoarseSplit", writes=(f"dc@{lvl}",),
-            )
+            if sp.bcast:
+                b.node(
+                    f"post:vsp@{lvl}", phase="comm", kind="post",
+                    stage="CoarseSplit", reads=(f"dc@{lvl}",),
+                )
+                b.node(
+                    f"wait:vsp@{lvl}", phase="comm", kind="wait",
+                    stage="CoarseSplit", writes=(f"dc@{lvl}",),
+                )
 
-    x_reads = tuple(
-        r for r, have in (
-            ("ext_phi:own", bool(own_phi)), ("ext_phi:ghost", bool(ghost_phi))
-        ) if have
-    )
+    # Owned-data passes (the overlap window's compute).
+    emit_near("own")
+    emit_v("own")
+    if lay is not None and overlap:
+        emit_waits()
+    # Ghost-dependent passes.
+    emit_v("ghost")
     for dl in plan.down_levels:
         _emit_down_level(
             b, dl, n_surf=n_surf, mv2=mv2, nrhs=nrhs,
             src_fpp=src_k.flops_per_pair, trg_fpp=trg_k.flops_per_pair,
             x_reads=x_reads,
         )
-
-    emit_near(state.u_ghost, "ghost", "u")
-    emit_near(state.w_ghost, "ghost", "w")
+    emit_near("ghost")
     b.node("output", phase="io", kind="output", reads=("pot",))
     return b.build()

@@ -224,37 +224,6 @@ class FFTM2L:
 
     # -- surface transforms ---------------------------------------------------
 
-    def forward_rows(self, ue_rows: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Forward transforms of many boxes' upward equivalent densities.
-
-        ``ue_rows`` is ``(n, n_surf * source_dof)`` flat point-major
-        densities; ``out`` is a contiguous complex array
-        ``(n, source_dof, nfreq)`` that receives the transforms (the
-        GEMM-DFT of each box's surface-scattered grid).  Returns ``out``.
-        """
-        md = self.kernel.source_dof
-        n = ue_rows.shape[0]
-        F_re, F_im, _, _ = dft_operators(self.p)
-        vals = ue_rows.reshape(n, -1, md)
-        A = np.ascontiguousarray(vals.transpose(0, 2, 1)).reshape(-1, F_re.shape[0])
-        flat = out.reshape(n * md, -1)
-        np.matmul(A, F_re, out=flat.real)
-        np.matmul(A, F_im, out=flat.imag)
-        return out
-
-    def inverse_rows(self, acc: np.ndarray) -> np.ndarray:
-        """Inverse transforms and surface gathers for a stack of boxes.
-
-        ``acc`` is ``(n, target_dof, nfreq)`` complex; returns
-        ``(n, n_surf * target_dof)`` flat point-major check potentials.
-        """
-        n, qd = acc.shape[0], acc.shape[1]
-        _, _, G_re, G_im = dft_operators(self.p)
-        flat = acc.reshape(n * qd, -1)
-        pm = np.matmul(np.ascontiguousarray(flat.real), G_re)
-        pm -= np.matmul(np.ascontiguousarray(flat.imag), G_im)
-        return pm.reshape(n, qd, -1).transpose(0, 2, 1).reshape(n, -1)
-
     def forward_rows_t(self, ue_rows: np.ndarray, out_t: np.ndarray) -> None:
         """Forward transforms into a frequency-leading stack.
 
@@ -262,9 +231,8 @@ class FFTM2L:
         densities; ``out_t`` is a ``(nfreq, n, source_dof)`` complex view
         (its last two axes must be memory-contiguous — e.g. one RHS slab
         of the blocked Hadamard's ``(nfreq, nrhs, n, source_dof)``
-        stack).  Mathematically identical to :meth:`forward_rows` up to
-        GEMM rounding; its output feeds :meth:`hadamard_blocked` without
-        any transpose pass.
+        stack).  Its output feeds :meth:`hadamard_blocked` without any
+        transpose pass.
         """
         md = self.kernel.source_dof
         n = ue_rows.shape[0]
@@ -284,7 +252,7 @@ class FFTM2L:
         ``acc_t`` is ``(nfreq, n, target_dof)`` complex (any leading-axis
         stride, e.g. one RHS slab of the blocked Hadamard accumulator);
         returns ``(n, n_surf * target_dof)`` flat point-major check
-        potentials, matching :meth:`inverse_rows` up to GEMM rounding.
+        potentials.
         """
         nfreq, n, qd = acc_t.shape
         _, _, G_re_t, G_im_t = dft_operators_t(self.p)
@@ -292,25 +260,6 @@ class FFTM2L:
         pm_t = np.matmul(G_re_t, np.ascontiguousarray(flat.real))
         pm_t -= np.matmul(G_im_t, np.ascontiguousarray(flat.imag))
         return pm_t.reshape(-1, n, qd).transpose(1, 0, 2).reshape(n, -1)
-
-    def accumulate_many(
-        self,
-        acc: np.ndarray,
-        tensor_hat: np.ndarray,
-        phi_hat_rows: np.ndarray,
-        trg_pos: np.ndarray,
-    ) -> None:
-        """Apply one translation class to a stack of source transforms.
-
-        All pairs of a class share ``tensor_hat`` (grid-shaped); the
-        ``trg_pos`` rows of ``acc`` (shape ``(ntrg, target_dof, nfreq)``)
-        receive the products of the ``(n, source_dof, nfreq)`` transform
-        rows.  Within a class every target occurs at most once, so plain
-        fancy-indexed ``+=`` accumulation is exact.
-        """
-        qd, md = tensor_hat.shape[0], tensor_hat.shape[1]
-        th = tensor_hat.reshape(qd, md, -1)
-        acc[trg_pos] += np.einsum("qmf,nmf->nqf", th, phi_hat_rows)
 
     def hadamard_blocked(
         self,
@@ -322,11 +271,12 @@ class FFTM2L:
     ) -> None:
         """Parent-pair-blocked Hadamard stage, frequency-leading.
 
-        The class-major stage streams ~5 full-spectrum passes per box
-        pair; here each gathered parent-pair slab (8 source + 8 target
-        child rows) covers up to 64 pairs through per-frequency batched
-        real-form mixing GEMMs (:meth:`combo_tensor_real`), cutting DRAM
-        traffic by an order of magnitude.  Both spectra are *frequency-leading* per RHS:
+        A per-offset-class Hadamard streams ~5 full-spectrum passes per
+        box pair; here each gathered parent-pair slab (8 source + 8
+        target child rows) covers up to 64 pairs through per-frequency
+        batched real-form mixing GEMMs (:meth:`combo_tensor_real`),
+        cutting DRAM traffic by an order of magnitude.  Both spectra are
+        *frequency-leading* per RHS:
         ``phi_ext`` is ``(nrhs, nfreq, n + 1, source_dof)`` and
         ``acc_ext`` is ``(nrhs, nfreq, n + 1, target_dof)`` (the last
         box row of each is the plan's sentinel — zero source / discarded
@@ -335,8 +285,9 @@ class FFTM2L:
         the gather needs no transpose pass and stays cache-resident —
         and the products drain through a single flat-index
         ``np.add.at`` scatter per chunk, one buffered pass instead of
-        fancy ``+=``'s gather/add/write-back triple.  ``acc_ext`` must
-        arrive zeroed; it is accumulated in place.
+        fancy ``+=``'s gather/add/write-back triple.  ``acc_ext`` is
+        accumulated in place, so a level's parent pairs may run in
+        several calls (the executor's own and ghost halves).
 
         Right-hand sides run the innermost loop with exactly the
         single-RHS gather/matmul/scatter shapes, so column ``r`` of a

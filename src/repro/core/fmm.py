@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.evaluator import evaluate_planned
-from repro.core.fftm2l import FFTM2L
+from repro.core.evaluator import PlannedExecutor
 from repro.core.m2lschedule import (
     M2L_DTYPES,
     M2L_MODES,
@@ -79,7 +78,7 @@ class FMMOptions:
         or ``"flat"`` (the paper's literal Algorithm 1 — O(P) at coarse
         boxes).  Bitwise-identical results; ignored by the serial path.
     sanitize:
-        Run the planned evaluators under the runtime sanitizers
+        Run the planned executor under the runtime sanitizers
         (:mod:`repro.analysis.sanitize`): BufferPool lifecycle with
         NaN poisoning, finite checks at every plan phase boundary, and
         GEMM aliasing guards.  Equivalent to setting ``REPRO_SANITIZE=1``
@@ -154,7 +153,7 @@ class KIFMM:
         self.cache: OperatorCache | None = None
         self.flops = FlopCounter()
         self.timer = PhaseTimer()
-        self._fft: FFTM2L | None = None
+        self._executor: PlannedExecutor | None = None
         self._plan: ExecutionPlan | None = None
         self._m2l: M2LSchedule | None = None
 
@@ -219,30 +218,28 @@ class KIFMM:
             stats=v_stats_from_plan(self._plan),
             cache=self.cache, kernel=self.kernel,
         )
-        self._fft = FFTM2L(self.cache) if self._m2l.needs_fft else None
+        self._executor = None
         return self
 
-    def _dispatch(
-        self,
-        density: np.ndarray,
-        source_kernel: Kernel | None,
-        target_kernel: Kernel | None,
-        direct_kernel: Kernel | None,
-    ) -> np.ndarray:
-        """Run one evaluation over the execution plan."""
-        assert self.tree is not None and self._plan is not None
-        assert self.cache is not None
-        return evaluate_planned(
-            self.tree, self._plan, self.kernel, self.cache, density,
-            m2l_mode=self._m2l,
-            fft_m2l=self._fft,
-            flops=self.flops,
-            timer=self.timer,
-            source_kernel=source_kernel,
-            target_kernel=target_kernel,
-            direct_kernel=direct_kernel,
-            sanitize=self.options.sanitize,
-        )
+    @property
+    def executor(self) -> PlannedExecutor:
+        """The planned executor of this operator, built on first use.
+
+        The sequential operator is the executor with no exchange: every
+        partner is owned and nothing waits.  Kernel compatibility is
+        checked here, i.e. at the first apply.
+        """
+        if self._plan is None:
+            raise RuntimeError("call setup() first")
+        if self._executor is None:
+            self._executor = PlannedExecutor(
+                self.tree, self._plan, self.kernel, self.cache, self._m2l,
+                source_kernel=self.source_kernel,
+                target_kernel=self.target_kernel,
+                direct_kernel=self.direct_kernel,
+                sanitize=self.options.sanitize,
+            )
+        return self._executor
 
     def apply(self, density: np.ndarray) -> np.ndarray:
         """One interaction evaluation ``u = K phi``.
@@ -260,11 +257,9 @@ class KIFMM:
         ``(nt, target_dof)`` potentials in input target order, with a
         trailing ``nrhs`` axis for stacked blocks.
         """
-        if self.tree is None or self.lists is None or self.cache is None:
+        if self._plan is None:
             raise RuntimeError("call setup() before apply()")
-        return self._dispatch(
-            density, self.source_kernel, self.target_kernel, self.direct_kernel
-        )
+        return self.executor.apply(density, flops=self.flops, timer=self.timer)
 
     def apply_gradient(self, density: np.ndarray) -> np.ndarray:
         """Field gradient at the targets, ``grad u_i`` (forces in MD).
@@ -276,16 +271,16 @@ class KIFMM:
         """
         from repro.kernels.derived import gradient_kernel_for
 
-        if self.tree is None or self.cache is None:
+        if self._plan is None:
             raise RuntimeError("call setup() before apply_gradient()")
         if self.source_kernel is not None or self.target_kernel is not None:
             raise RuntimeError(
                 "apply_gradient() requires default source/target kernels; "
                 "construct a dedicated KIFMM with explicit kernels instead"
             )
-        return self._dispatch(
-            density, None, gradient_kernel_for(self.kernel), None
-        )
+        return self.executor.with_kernels(
+            target_kernel=gradient_kernel_for(self.kernel)
+        ).apply(density, flops=self.flops, timer=self.timer)
 
     def matvec(self, density: np.ndarray) -> np.ndarray:
         """Flat interface for Krylov solvers: ``apply`` raveled.

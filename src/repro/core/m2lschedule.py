@@ -17,11 +17,10 @@ The V-list translation (M2L) has three interchangeable backends:
 An :class:`M2LSchedule` fixes one backend *per tree level* plus the
 factor precision of the rsvd levels.  The uniform modes map every level
 to the same backend; ``auto`` picks per level from the level's V-list
-statistics with the cost model below.  Both planned executors (the
-sequential evaluator and the parallel rank executor) resolve their
-schedule from the plan's gated statistics (:func:`v_stats_from_plan`;
-the rank plans gate by *global* source counts), so every rank and the
-sequential path agree on the backends.
+statistics with the cost model below.  The sequential operator and
+every rank resolve their schedule from their plan's gated statistics
+(:func:`v_stats_from_plan`; the rank plans gate by *global* source
+counts), so every rank and the sequential path agree on the backends.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ M2L_DTYPES = ("float64", "float32")
 #: operating points), NOT part of the certified flop identity: the
 #: plancheck flop check compares exact counts; the picker divides those
 #: counts by an achievable-rate estimate.  The fft weight reflects the
-#: class-major Hadamard's strided spectrum traffic.
+#: Hadamard stage's spectrum traffic.
 _EFFICIENCY = {"dense": 1.0, "rsvd": 1.0, "fft": 0.25}
 
 
@@ -51,7 +50,7 @@ _EFFICIENCY = {"dense": 1.0, "rsvd": 1.0, "fft": 0.25}
 class RsvdLevel:
     """Marker stage of the rSVD-compressed per-level V-list pass.
 
-    The evaluators dispatch rsvd levels off the shared
+    The executor dispatches rsvd levels off the shared
     :class:`~repro.core.plan.VLevel` geometry rather than building a
     separate stage object; this class exists so the plan verifier's IR
     nodes can name a registered stage whose

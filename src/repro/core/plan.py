@@ -14,9 +14,9 @@ into *level-major index arrays* once, in ``KIFMM.setup()``, so every
   stacked GEMM per occupied child octant (M2M), and one stacked GEMM for
   the ``uc2ue`` inversion of every source box at the level.
 - **M2L** — V-list pairs grouped by the ≤316 translation-offset classes
-  of a level; FFT mode performs one batched ``rfftn`` over all needed
-  source boxes, one Hadamard ``einsum`` per class, and one batched
-  ``irfftn`` per level; dense mode performs one stacked GEMM per class.
+  of a level (dense/rsvd: stacked GEMMs per class) and by parent pair
+  (fft: one forward GEMM-DFT per source box, the parent-pair-blocked
+  Hadamard, one inverse GEMM-DFT per target box).
 - **Downward pass** — stacked GEMMs per (level, octant) for L2L and per
   level for ``dc2de``; L2T as chunked kernel blocks over concatenated
   leaf targets.
@@ -149,7 +149,7 @@ def chunk_segments(seg: np.ndarray, max_points: int) -> list[tuple[int, int]]:
 class BufferPool:
     """Grow-only scratch buffers, zeroed in place on reuse.
 
-    The planned evaluators draw their level-wide work arrays from this
+    The planned executor draws its level-wide work arrays from this
     pool, which lives on the plan and is reused across the many
     ``apply()`` calls of a Krylov loop instead of allocating per apply.
 
@@ -333,8 +333,8 @@ class DownLevel:
 class ExecutionPlan:
     """Flattened tree + interaction lists, ready for batched evaluation.
 
-    Built once per geometry by :func:`build_plan`; consumed by
-    :func:`repro.core.evaluator.evaluate_planned`.  Every array indexes
+    Built once per geometry by :func:`build_plan`; run by
+    :class:`repro.core.evaluator.PlannedExecutor`.  Every array indexes
     either boxes (tree order) or points (Morton-sorted order); densities
     and potentials are carried in sorted order inside the evaluator and
     permuted once at entry/exit.
@@ -349,18 +349,10 @@ class ExecutionPlan:
     up_levels: list[UpLevel]
     v_levels: list[VLevel]
     down_levels: list[DownLevel]
-    # U list: per target leaf, concatenated partner sources.
-    u_boxes: np.ndarray
-    u_trg_start: np.ndarray
-    u_trg_stop: np.ndarray
-    u_seg: np.ndarray
-    u_src_pos: np.ndarray
-    # W list: per target leaf, partner boxes (their equivalent surfaces).
-    w_boxes: np.ndarray
-    w_trg_start: np.ndarray
-    w_trg_stop: np.ndarray
-    w_seg: np.ndarray
-    w_idx: np.ndarray
+    #: U list: per target leaf, concatenated partner source positions.
+    u: NearBlocks
+    #: W list: per target leaf, partner boxes (their equivalent surfaces).
+    w: NearBlocks
     buffers: BufferPool = field(default_factory=BufferPool, repr=False)
 
     def statistics(self) -> dict[str, float]:
@@ -377,9 +369,9 @@ class ExecutionPlan:
             "plan_v_classes": nclasses,
             "plan_v_pairs": npairs,
             "plan_v_parent_pairs": nparent,
-            "plan_u_boxes": int(self.u_boxes.size),
-            "plan_u_sources": int(self.u_seg[-1]) if self.u_seg.size else 0,
-            "plan_w_pairs": int(self.w_idx.size),
+            "plan_u_boxes": int(self.u.boxes.size),
+            "plan_u_sources": int(self.u.seg[-1]),
+            "plan_w_pairs": int(self.w.src_pos.size),
             "plan_buffer_bytes": self.buffers.nbytes(),
         }
 
@@ -403,6 +395,30 @@ class NearBlocks:
     stage_meta = StageMeta(
         reads=("phi", "ext_phi", "ue"), writes=("pot",), dtype="float64"
     )
+
+    @classmethod
+    def empty(cls) -> "NearBlocks":
+        """No target boxes, no pairs."""
+        none = np.empty(0, dtype=np.int64)
+        return cls(none, none, none, np.zeros(1, dtype=np.int64), none)
+
+    def split(self, keep: np.ndarray) -> tuple["NearBlocks", "NearBlocks"]:
+        """``(kept, rest)``: the pairs whose ``src_pos`` entry ``keep``
+        marks, and the others, each regrouped by target box (partner
+        order within a box is preserved)."""
+        row = np.repeat(np.arange(self.boxes.size), np.diff(self.seg))
+
+        def select(m: np.ndarray) -> NearBlocks:
+            counts = np.bincount(row[m], minlength=self.boxes.size)
+            has = counts > 0
+            seg = np.zeros(int(has.sum()) + 1, dtype=np.int64)
+            np.cumsum(counts[has], out=seg[1:])
+            return NearBlocks(
+                self.boxes[has], self.trg_start[has], self.trg_stop[has],
+                seg, self.src_pos[m],
+            )
+
+        return select(keep), select(~keep)
 
 
 def build_near_blocks(
@@ -680,14 +696,6 @@ def build_plan(
         up_levels=up_levels,
         v_levels=v_levels,
         down_levels=down_levels,
-        u_boxes=ub.boxes,
-        u_trg_start=ub.trg_start,
-        u_trg_stop=ub.trg_stop,
-        u_seg=ub.seg,
-        u_src_pos=ub.src_pos,
-        w_boxes=wb.boxes,
-        w_trg_start=wb.trg_start,
-        w_trg_stop=wb.trg_stop,
-        w_seg=wb.seg,
-        w_idx=wb.src_pos,
+        u=ub,
+        w=wb,
     )

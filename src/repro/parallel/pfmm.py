@@ -13,17 +13,27 @@ The redundant computation this design accepts near the root (every rank
 computes partial upward densities and full downward passes for the
 ancestors of its boxes) is reproduced faithfully; as the paper notes, the
 number of such boxes is small.
+
+The compute stages are the sequential program: every rank runs the one
+:class:`~repro.core.evaluator.PlannedExecutor` over its LET-local plan.
+This module supplies what differs per rank — the setup (parallel tree,
+LET, owners, ghost layout, own/ghost work splits) and the exchange hooks
+(:class:`RankExchange`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from dataclasses import field as dataclasses_field
 
 import numpy as np
 
-from repro.analysis import sanitize as _san
-from repro.core.evaluator import coerce_density, resolve_kernels
+from repro.core.evaluator import (
+    PlannedExecutor,
+    VSplit,
+    coerce_density,
+    resolve_kernels,
+    split_v_level,
+)
 from repro.core.fftm2l import FFTM2L
 from repro.core.fmm import FMMOptions
 from repro.core.m2lschedule import (
@@ -32,19 +42,8 @@ from repro.core.m2lschedule import (
     resolve_m2l_schedule,
     v_stats_from_plan,
 )
-from repro.core.plan import (
-    MAX_BLOCK_ENTRIES,
-    ExecutionPlan,
-    NearBlocks,
-    StageMeta,
-    build_near_blocks,
-    build_plan,
-    build_w_blocks,
-    chunk_segments,
-    plan_stage,
-)
+from repro.core.plan import ExecutionPlan, build_plan
 from repro.core.precompute import OperatorCache
-from repro.core.surfaces import surface_grid
 from repro.kernels.base import Kernel
 from repro.octree.lists import InteractionLists, build_lists
 from repro.parallel.exchange import (
@@ -66,6 +65,7 @@ from repro.parallel.simmpi import (
     register_tag_family,
     run_spmd,
 )
+from repro.util.flops import FlopCounter
 from repro.util.timing import PhaseTimer
 
 # Coarse V-split broadcast tags: ``("vsp", level, box)``, one segmented
@@ -130,41 +130,62 @@ def v_split_bcast_schedule(
     return schedule
 
 
-@plan_stage
-@dataclass
-class _VSplit:
-    """One V level's pairs split by source-box ownership.
+class RankExchange:
+    """The communication hooks of one rank's apply.
 
-    Rows/classes over sources this rank owns can be processed inside the
-    overlap window (their global equivalent densities are on hand right
-    after the owner relay); ghost rows wait for the scatter.
-
-    At *coarse split levels* (box count below the rank count — see
-    :func:`repro.core.m2lschedule.coarse_split_levels`) the redundant
-    tree-top translations are divided instead: ``own_*`` is empty, the
-    ``ghost_*`` classes are restricted to the target boxes *assigned* to
-    this rank by the deterministic cyclic assignment, ``inv_rows`` lists
-    the assigned positions into ``vl.trg_boxes`` (the only rows this
-    rank inverse-transforms), and ``bcast`` holds the per-box
-    ``(box, root_rank, participant_ranks)`` broadcast schedule that
-    delivers every participant the assigned rank's downward-check rows.
-    ``inv_rows is None`` means the level is not split (all rows local).
+    Plugs the owner-mediated nonblocking exchange
+    (:class:`~repro.parallel.exchange.ApplyExchange`) and the
+    coarse-split broadcast into the
+    :class:`~repro.core.evaluator.PlannedExecutor`.
     """
 
-    own_rows: np.ndarray
-    ghost_rows: np.ndarray
-    own_classes: list[tuple[tuple[int, int, int], np.ndarray, np.ndarray]]
-    ghost_classes: list[tuple[tuple[int, int, int], np.ndarray, np.ndarray]]
-    inv_rows: np.ndarray | None = None
-    bcast: list[tuple[int, int, tuple[int, ...]]] = dataclasses_field(
-        default_factory=list
-    )
+    def __init__(self, comm: SimComm, state: "RankFMM") -> None:
+        self.comm = comm
+        self.state = state
+        self._exch: ApplyExchange | None = None
 
-    stage_meta = StageMeta(
-        reads=("ue", "vhat"), writes=("vhat", "dc"), dtype="float64"
-    )
+    def start(self, phi, ue, ext_phi, timer: PhaseTimer) -> None:
+        rec = current_recorder()
+        if rec is not None:
+            me = self.comm.rank
+            rec.register(f"rank{me}:phi_sorted", phi)
+            rec.write(phi, "sort-density")
+            rec.register(f"rank{me}:ue", ue)
+            rec.write(ue, "upward-partial")
+            rec.register(f"rank{me}:ext_phi", ext_phi)
+        st = self.state
+        self._exch = ApplyExchange(
+            self.comm, st.layout, phi, st.src_start, st.src_stop, ue,
+            ext_phi, timer,
+        ).start()
+        self._exch.relay()
+
+    def finish(self) -> None:
+        self._exch.finish()
+
+    def split_bcast(self, level: int, bcast, dc3: np.ndarray) -> None:
+        """Deliver split-level downward-check rows along the rank tree.
+
+        Every participant iterates the same ascending ``(level, box)``
+        schedule, so the segmented broadcasts match up deadlock-free.
+        At this point ``dc3[:, bx]`` holds exactly the level's V
+        contribution (L2L and X accumulate later, own classes are empty
+        at split levels), so the root's rows can be assigned verbatim —
+        receivers *assign* the bytes, keeping the rows bitwise identical
+        across participants.
+        """
+        me = self.comm.rank
+        for bx, root, parts in bcast:
+            blk = np.ascontiguousarray(dc3[:, bx]) if me == root else None
+            out = self.comm.tree_bcast(
+                blk, root, parts,
+                tag=mk_tag("vsp", int(level), int(bx)), phase="v_split",
+            )
+            if me != root:
+                dc3[:, bx] = out
 
 
+@dataclass
 class RankFMM:
     """One rank's persistent parallel FMM state (the setup product).
 
@@ -173,71 +194,52 @@ class RankFMM:
     the LET-local :class:`~repro.core.plan.ExecutionPlan` (partner
     gating by *global* source counts, U/X positions into the combined
     local+ghost source array), the ghost geometry, and the owned/ghost
-    work splits that define the overlap window.  :meth:`apply` then runs
-    one batched interaction evaluation, exchanging only densities.
+    work splits that define the overlap window, all held by one
+    :class:`~repro.core.evaluator.PlannedExecutor` — the same program
+    the sequential operator runs.  :meth:`apply` runs it with this
+    rank's exchange plugged in, exchanging only densities.
 
     The object deliberately holds no communicator — each apply receives
     one, so the same states can be reused across ``run_spmd`` calls
     (each GMRES matvec is one such call).
     """
 
-    def __init__(
-        self,
-        kernel: Kernel,
-        options: FMMOptions,
-        ptree: ParallelTree,
-        lists: InteractionLists,
-        cache: OperatorCache,
-        fft: FFTM2L | None,
-        plan: ExecutionPlan,
-        layout: GhostLayout,
-        ext_points: np.ndarray,
-        u_own: NearBlocks,
-        u_ghost: NearBlocks,
-        w_own: NearBlocks,
-        w_ghost: NearBlocks,
-        v_splits: list[_VSplit],
-        src_start: np.ndarray,
-        src_stop: np.ndarray,
-        source_kernel: Kernel | None,
-        target_kernel: Kernel | None,
-        direct_kernel: Kernel | None,
-        m2l_schedule: M2LSchedule | None = None,
-        v_compute: np.ndarray | None = None,
-    ) -> None:
-        self.kernel = kernel
-        self.options = options
-        self.ptree = ptree
-        self.tree = ptree.tree
-        self.lists = lists
-        self.cache = cache
-        self.fft = fft
-        self.plan = plan
-        self.layout = layout
-        self.ext_points = ext_points
-        self.u_own = u_own
-        self.u_ghost = u_ghost
-        self.w_own = w_own
-        self.w_ghost = w_ghost
-        self.v_splits = v_splits
-        self.src_start = src_start
-        self.src_stop = src_stop
-        # Which boxes this rank performs V target-side work for.  Every
-        # box with local targets, except at coarse split levels, where
-        # only the cyclically-assigned boxes remain (the flop model's
-        # ``v_targets`` mask — ``None`` means fully redundant).
-        self.v_compute = v_compute
-        if m2l_schedule is None:
-            m2l_schedule = resolve_m2l_schedule(
-                options.m2l, options.dtype,
-                stats=v_stats_from_plan(plan), cache=cache, kernel=kernel,
-            )
-        self.m2l_schedule = m2l_schedule
-        self.src_k, self.trg_k, self.dir_k = resolve_kernels(
-            kernel, source_kernel, target_kernel, direct_kernel
-        )
+    options: FMMOptions
+    ptree: ParallelTree
+    lists: InteractionLists
+    layout: GhostLayout
+    src_start: np.ndarray
+    src_stop: np.ndarray
+    executor: PlannedExecutor
+    #: Which boxes this rank performs V target-side work for: every box
+    #: with local targets, except at coarse split levels, where only
+    #: the cyclically-assigned boxes remain (the flop model's
+    #: ``v_targets`` mask).
+    v_compute: np.ndarray
 
-    # -- apply ------------------------------------------------------------
+    @property
+    def tree(self):
+        return self.ptree.tree
+
+    @property
+    def kernel(self) -> Kernel:
+        return self.executor.kernel
+
+    @property
+    def plan(self) -> ExecutionPlan:
+        return self.executor.plan
+
+    @property
+    def cache(self) -> OperatorCache:
+        return self.executor.cache
+
+    @property
+    def m2l_schedule(self) -> M2LSchedule:
+        return self.executor.schedule
+
+    @property
+    def v_splits(self) -> list[VSplit]:
+        return self.executor.v_splits
 
     def apply(
         self,
@@ -245,15 +247,9 @@ class RankFMM:
         local_density: np.ndarray,
         timer: PhaseTimer | None = None,
         overlap: bool = True,
+        flops: FlopCounter | None = None,
     ) -> np.ndarray:
         """One planned interaction evaluation over the LET.
-
-        The computation order is identical with and without overlap —
-        owned-data passes always run before their ghost counterparts —
-        so the two modes produce bitwise identical potentials; the flag
-        only decides whether the scatter wait happens before or after
-        the owned passes (i.e. whether the in-flight exchange is hidden
-        behind them).
 
         ``local_density`` may be a stacked block — ``(ns, sdof, nrhs)``
         or a flat ``(ns * sdof, nrhs)`` — in which case the whole block
@@ -261,460 +257,13 @@ class RankFMM:
         ``sdof * nrhs`` and per-box equivalent-density payloads to
         ``nrhs`` contiguous surface vectors, so latency and coordinate
         traffic are paid once per block instead of once per column.
-        Stages that feed the regularised ``uc2ue``/``dc2de`` inverses
-        loop columns with hoisted operators (bitwise column parity with
-        single-RHS applies); direct-to-potential stages fold the RHS
-        axis into wider GEMMs.
+        ``overlap`` only decides whether the scatter wait happens before
+        or after the owned passes; the result is bitwise the same.
         """
-        timer = timer if timer is not None else PhaseTimer()
-        tree, plan, cache = self.tree, self.plan, self.cache
-        md, qd = self.kernel.source_dof, self.kernel.target_dof
-        sdof, out_dof = self.src_k.source_dof, self.trg_k.target_dof
-        n_surf = cache.n_surf
-        nb = plan.nboxes
-        ns = tree.sources.shape[0]
-        nt = tree.targets.shape[0]
-        pool = plan.buffers
-        san = self.options.sanitize or _san.enabled()
-        pool.sanitize = san
-        phi3, nrhs, single = coerce_density(
-            np.asarray(local_density, dtype=np.float64), ns, sdof
+        return self.executor.apply(
+            local_density, exchange=RankExchange(comm, self),
+            flops=flops, timer=timer, overlap=overlap,
         )
-        if san:
-            _san.check_finite(phi3, "input", "local density",
-                              rows_are="points")
-        # The exchange payload keeps points on the leading axis with all
-        # right-hand sides packed into the row: one exchange, nrhs-wide.
-        phi_sorted = np.ascontiguousarray(phi3[tree.src_perm]).reshape(
-            ns, sdof * nrhs
-        )
-        # RHS-major view for the column-looped upward pass.
-        phi_rm = np.ascontiguousarray(
-            phi_sorted.reshape(ns, sdof, nrhs).transpose(2, 0, 1)
-        )
-        rec = current_recorder()
-        if rec is not None:
-            rec.register(f"rank{comm.rank}:phi_sorted", phi_sorted)
-            rec.write(phi_sorted, "sort-density")
-
-        ue = pool.zeros("p_ue", (nb, nrhs * n_surf * md))
-        ue3 = ue.reshape(nb, nrhs, n_surf * md)
-        with timer.phase("up"):
-            self._upward(ue3, phi_rm)
-        if rec is not None:
-            rec.register(f"rank{comm.rank}:ue", ue)
-            rec.write(ue, "upward-partial")
-        if san:
-            _san.check_finite(ue, "up", "partial upward equivalent densities")
-
-        lay = self.layout
-        ext_phi = pool.empty(
-            "p_ext_phi", (self.ext_points.shape[0], sdof * nrhs)
-        )
-        ext_phi3 = ext_phi.reshape(self.ext_points.shape[0], sdof, nrhs)
-        if rec is not None:
-            rec.register(f"rank{comm.rank}:ext_phi", ext_phi)
-        exch = ApplyExchange(
-            comm, lay, phi_sorted, self.src_start, self.src_stop, ue,
-            ext_phi, timer,
-        ).start()
-        exch.relay()
-        if not overlap:
-            exch.finish()
-
-        dc3 = pool.zeros("p_dc", (nrhs, nb, n_surf * qd))
-        de3 = pool.zeros("p_de", (nrhs, nb, n_surf * md))
-        pot3 = pool.zeros("p_pot", (nrhs, nt, out_dof))
-
-        # Owned-data passes: with overlap on, these run while the
-        # equivalent-density/ghost-density scatter is still in flight.
-        self._near_u(self.u_own, ext_phi3, pot3, timer)
-        self._near_w(self.w_own, ue3, pot3, timer)
-        v_state = self._v_owned(ue3, dc3, timer)
-
-        if overlap:
-            exch.finish()
-        if san:
-            _san.check_finite(ext_phi, "exchange",
-                              "combined ghost source densities",
-                              rows_are="points")
-            _san.check_finite(ue, "exchange",
-                              "global upward equivalent densities")
-
-        # Ghost-dependent passes.
-        self._v_ghost(comm, ue3, dc3, v_state, timer)
-        self._downward(ext_phi3, dc3, de3, pot3, timer)
-        self._near_u(self.u_ghost, ext_phi3, pot3, timer)
-        self._near_w(self.w_ghost, ue3, pot3, timer)
-        if san:
-            _san.check_finite(pot3, "output", "potentials",
-                              rows_are="targets")
-
-        if single:
-            potential = np.empty((nt, out_dof))
-            potential[tree.trg_perm] = pot3[0]
-        else:
-            potential = np.empty((nt, out_dof, nrhs))
-            potential[tree.trg_perm] = pot3.transpose(1, 2, 0)
-        if san:
-            _san.check_escape(potential, pool, "RankFMM.apply")
-        return potential
-
-    # -- stages -----------------------------------------------------------
-
-    def _upward(self, ue3: np.ndarray, phi_rm: np.ndarray) -> None:
-        """Partial upward pass (local sources only), level batched.
-
-        Feeds the regularised ``uc2ue`` inverse, so columns are looped
-        with per-level operators hoisted: every column performs exactly
-        the arithmetic of a single-RHS apply (bitwise column parity).
-        """
-        cache, plan, src_k = self.cache, self.plan, self.src_k
-        n_surf = cache.n_surf
-        qd, sdof = self.kernel.target_dof, src_k.source_dof
-        nrhs = ue3.shape[1]
-        pool = plan.buffers
-        zero3 = np.zeros(3)
-        for ul in plan.up_levels:
-            check = pool.zeros(
-                "p_up_check", (nrhs, ul.boxes.size, n_surf * qd)
-            )
-            if ul.s2m_rows.size:
-                chk_pts = cache.up_check_points(zero3, ul.level)
-                phi_cat = phi_rm[:, ul.s2m_src_pos].reshape(nrhs, -1)
-                max_pts = max(1, MAX_BLOCK_ENTRIES // (n_surf * qd * sdof))
-                for lo, hi in chunk_segments(ul.s2m_seg, max_pts):
-                    p0, p1 = int(ul.s2m_seg[lo]), int(ul.s2m_seg[hi])
-                    K = src_k.matrix_local(chk_pts, ul.s2m_pts[p0:p1])
-                    cols = (ul.s2m_seg[lo:hi] - p0) * sdof
-                    rows = ul.s2m_rows[lo:hi]
-                    for r in range(nrhs):
-                        vals = K * phi_cat[r, p0 * sdof : p1 * sdof][None, :]
-                        check[r][rows] += np.add.reduceat(
-                            vals, cols, axis=1
-                        ).T
-            for octant, kids, rows in ul.m2m_groups:
-                M = cache.m2m_check(ul.level + 1, octant)
-                if pool.sanitize:
-                    _san.guard_gemm(check, ue3, M,
-                                    site=f"p-m2m level {ul.level}")
-                for r in range(nrhs):
-                    check[r][rows] += ue3[kids, r] @ M.T
-            U = cache.uc2ue(ul.level)
-            if pool.sanitize:
-                _san.guard_gemm(ue3, check, U,
-                                site=f"p-uc2ue level {ul.level}")
-            for r in range(nrhs):
-                ue3[ul.boxes, r] = check[r] @ U.T
-            pool.release("p_up_check")
-
-    def _near_u(
-        self,
-        blocks: NearBlocks,
-        ext_phi3: np.ndarray,
-        pot3: np.ndarray,
-        timer: PhaseTimer,
-    ) -> None:
-        """U-list near field over one ownership split of the partners.
-
-        Direct to potentials (no ill-conditioned inverse downstream), so
-        the RHS axis folds into one GEMM per chunk that streams the
-        kernel block once for the whole batch.
-        """
-        if blocks.boxes.size == 0:
-            return
-        plan, dir_k = self.plan, self.dir_k
-        sdof, out_dof = self.src_k.source_dof, self.trg_k.target_dof
-        nrhs = pot3.shape[0]
-        with timer.phase("down_u"):
-            for i, bi in enumerate(blocks.boxes):
-                t0, t1 = int(blocks.trg_start[i]), int(blocks.trg_stop[i])
-                s0, s1 = int(blocks.seg[i]), int(blocks.seg[i + 1])
-                pos = blocks.src_pos[s0:s1]
-                ctr = plan.centers[bi]
-                trg_pts = plan.targets_sorted[t0:t1] - ctr
-                ntr = t1 - t0
-                step = max(1, MAX_BLOCK_ENTRIES // max(1, ntr * out_dof * sdof))
-                for c0 in range(0, pos.size, step):
-                    c1 = min(pos.size, c0 + step)
-                    K = dir_k.matrix_local(
-                        trg_pts, self.ext_points[pos[c0:c1]] - ctr
-                    )
-                    xs = ext_phi3[pos[c0:c1]].reshape(-1, nrhs)
-                    pot3[:, t0:t1] += (K @ xs).reshape(
-                        ntr, out_dof, nrhs
-                    ).transpose(2, 0, 1)
-
-    def _near_w(
-        self,
-        blocks: NearBlocks,
-        ue3: np.ndarray,
-        pot3: np.ndarray,
-        timer: PhaseTimer,
-    ) -> None:
-        """W-list pass over one ownership split of the partner boxes.
-
-        Direct to potentials, so the RHS axis folds like the U list.
-        """
-        if blocks.boxes.size == 0:
-            return
-        plan, cache, trg_k = self.plan, self.cache, self.trg_k
-        out_dof = trg_k.target_dof
-        nrhs = pot3.shape[0]
-        with timer.phase("down_w"):
-            sgrid = surface_grid(cache.p)
-            hw = cache.root_side / np.power(2.0, np.arange(plan.depth + 1)) / 2.0
-            for i, bi in enumerate(blocks.boxes):
-                t0, t1 = int(blocks.trg_start[i]), int(blocks.trg_stop[i])
-                s0, s1 = int(blocks.seg[i]), int(blocks.seg[i + 1])
-                partners = blocks.src_pos[s0:s1]
-                ctr = plan.centers[bi]
-                rad = cache.inner * hw[plan.levels[partners]]
-                eq_pts = (
-                    (plan.centers[partners] - ctr)[:, None, :]
-                    + rad[:, None, None] * sgrid[None, :, :]
-                ).reshape(-1, 3)
-                K = trg_k.matrix_local(plan.targets_sorted[t0:t1] - ctr, eq_pts)
-                xs = ue3[partners].transpose(0, 2, 1).reshape(-1, nrhs)
-                pot3[:, t0:t1] += (K @ xs).reshape(
-                    t1 - t0, out_dof, nrhs
-                ).transpose(2, 0, 1)
-
-    def _v_direct(
-        self, vl, classes, backend: str, ue3: np.ndarray, dc3: np.ndarray
-    ) -> None:
-        """Apply one ownership split of a dense/rsvd level's classes."""
-        cache = self.cache
-        nrhs = dc3.shape[0]
-        dtype = self.m2l_schedule.dtype
-        for offset, spos, tpos in classes:
-            if backend == "dense":
-                T = cache.m2l_check(vl.level, offset)
-                for r in range(nrhs):
-                    dc3[r][vl.trg_boxes[tpos]] += (
-                        ue3[vl.src_boxes[spos], r] @ T.T
-                    )
-            else:
-                uf, vf = cache.m2l_rsvd(vl.level, offset, dtype)
-                ufT, vfT = uf.T, vf.T
-                for r in range(nrhs):
-                    src = ue3[vl.src_boxes[spos], r]
-                    if dtype == "float32":
-                        src = src.astype(np.float32)
-                    dc3[r][vl.trg_boxes[tpos]] += (src @ vfT) @ ufT
-
-    def _v_owned(
-        self, ue3: np.ndarray, dc3: np.ndarray, timer: PhaseTimer
-    ) -> list[tuple[np.ndarray, np.ndarray] | None]:
-        """Forward-FFT owned V sources and accumulate owned classes.
-
-        Returns per-level state the ghost pass completes: ``(phi_hat,
-        acc)`` for fft-scheduled levels (plain arrays, not pool buffers:
-        the state must survive the interleaved passes of the overlap
-        window) and ``None`` for dense/rsvd levels, whose owned classes
-        are applied directly here.  Columns are looped with the
-        translation operators hoisted — the V result feeds the
-        ``dc2de`` inverse, so every column must repeat the single-RHS
-        arithmetic exactly.
-        """
-        plan, fft = self.plan, self.fft
-        sched = self.m2l_schedule
-        md, qd = self.kernel.source_dof, self.kernel.target_dof
-        nrhs = dc3.shape[0]
-        state: list[tuple[np.ndarray, np.ndarray] | None] = []
-        with timer.phase("down_v"):
-            for vl, sp in zip(plan.v_levels, self.v_splits):
-                if sched.backend(vl.level) != "fft":
-                    self._v_direct(
-                        vl, sp.own_classes, sched.backend(vl.level), ue3, dc3
-                    )
-                    state.append(None)
-                    continue
-                nfreq = fft.m * fft.m * (fft.m // 2 + 1)
-                nsb, ntb = vl.src_boxes.size, vl.trg_boxes.size
-                phi_hat = np.empty(
-                    (nrhs, nsb, md, nfreq), dtype=np.complex128
-                )
-                acc = np.zeros((nrhs, ntb, qd, nfreq), dtype=np.complex128)
-                if sp.own_rows.size:
-                    rows = vl.src_boxes[sp.own_rows]
-                    for r in range(nrhs):
-                        phi_hat[r][sp.own_rows] = fft.forward_rows(
-                            ue3[rows, r],
-                            np.empty(
-                                (sp.own_rows.size, md, nfreq),
-                                dtype=np.complex128,
-                            ),
-                        )
-                for offset, spos, tpos in sp.own_classes:
-                    tensor = fft.kernel_tensor_hat(vl.level, offset)
-                    for r in range(nrhs):
-                        fft.accumulate_many(
-                            acc[r], tensor, phi_hat[r][spos], tpos
-                        )
-                state.append((phi_hat, acc))
-        return state
-
-    def _v_ghost(
-        self,
-        comm: SimComm,
-        ue3: np.ndarray,
-        dc3: np.ndarray,
-        state: list[tuple[np.ndarray, np.ndarray] | None],
-        timer: PhaseTimer,
-    ) -> None:
-        """Complete the V pass with ghost-owned source boxes.
-
-        At coarse split levels (``sp.inv_rows is not None``) this rank
-        only carries the boxes the deterministic cyclic assignment gave
-        it — the inverse transform is restricted to ``inv_rows`` — and
-        the level ends with a tree broadcast of each assigned box's
-        downward-check rows to the box's other contributor ranks, which
-        *assign* (not accumulate) the received bytes so the rows stay
-        bitwise identical across participants.
-        """
-        plan, fft = self.plan, self.fft
-        if not plan.v_levels:
-            return
-        sched = self.m2l_schedule
-        md = self.kernel.source_dof
-        nrhs = dc3.shape[0]
-        with timer.phase("down_v"):
-            for (vl, sp), st in zip(
-                zip(plan.v_levels, self.v_splits), state
-            ):
-                if sched.backend(vl.level) != "fft":
-                    self._v_direct(
-                        vl, sp.ghost_classes, sched.backend(vl.level),
-                        ue3, dc3,
-                    )
-                    self._v_split_bcast(comm, vl, sp, dc3)
-                    continue
-                nfreq = fft.m * fft.m * (fft.m // 2 + 1)
-                phi_hat, acc = st
-                if sp.ghost_rows.size:
-                    rows = vl.src_boxes[sp.ghost_rows]
-                    for r in range(nrhs):
-                        phi_hat[r][sp.ghost_rows] = fft.forward_rows(
-                            ue3[rows, r],
-                            np.empty(
-                                (sp.ghost_rows.size, md, nfreq),
-                                dtype=np.complex128,
-                            ),
-                        )
-                for offset, spos, tpos in sp.ghost_classes:
-                    tensor = fft.kernel_tensor_hat(vl.level, offset)
-                    for r in range(nrhs):
-                        fft.accumulate_many(
-                            acc[r], tensor, phi_hat[r][spos], tpos
-                        )
-                if sp.inv_rows is None:
-                    for r in range(nrhs):
-                        dc3[r][vl.trg_boxes] += fft.inverse_rows(acc[r])
-                elif sp.inv_rows.size:
-                    rows = vl.trg_boxes[sp.inv_rows]
-                    for r in range(nrhs):
-                        dc3[r][rows] += fft.inverse_rows(
-                            acc[r][sp.inv_rows]
-                        )
-                self._v_split_bcast(comm, vl, sp, dc3)
-
-    def _v_split_bcast(
-        self, comm: SimComm, vl, sp, dc3: np.ndarray
-    ) -> None:
-        """Deliver split-level downward-check rows along the rank tree.
-
-        Every participant iterates the same ascending ``(level, box)``
-        schedule, so the segmented broadcasts match up deadlock-free.
-        At this point ``dc3[:, bx]`` holds exactly the level's V
-        contribution (L2L and X accumulate later, own classes are empty
-        at split levels), so the root's rows can be assigned verbatim.
-        """
-        if not sp.bcast:
-            return
-        me = comm.rank
-        for bx, root, parts in sp.bcast:
-            blk = (
-                np.ascontiguousarray(dc3[:, bx]) if me == root else None
-            )
-            out = comm.tree_bcast(
-                blk, root, parts,
-                tag=mk_tag("vsp", int(vl.level), int(bx)), phase="v_split",
-            )
-            if me != root:
-                dc3[:, bx] = out
-
-    def _downward(
-        self,
-        ext_phi3: np.ndarray,
-        dc3: np.ndarray,
-        de3: np.ndarray,
-        pot3: np.ndarray,
-        timer: PhaseTimer,
-    ) -> None:
-        """L2L / X / dc2de / L2T sweep over the LET (ghost X data).
-
-        Columns loop with per-level/per-box operators hoisted: L2L, X
-        and dc2de all feed the regularised downward inverse, and the
-        L2T einsum beats a strided batched GEMM at leaf sizes.
-        """
-        plan, cache = self.plan, self.cache
-        src_k, trg_k = self.src_k, self.trg_k
-        md = self.kernel.source_dof
-        n_surf = cache.n_surf
-        out_dof = trg_k.target_dof
-        nrhs = pot3.shape[0]
-        zero3 = np.zeros(3)
-        pool = plan.buffers
-        for dl in plan.down_levels:
-            with timer.phase("eval"):
-                for octant, kids, parents in dl.l2l_groups:
-                    L = cache.l2l_check(dl.level, octant)
-                    if pool.sanitize:
-                        _san.guard_gemm(dc3, de3, L,
-                                        site=f"p-l2l level {dl.level}")
-                    for r in range(nrhs):
-                        dc3[r][kids] += de3[r][parents] @ L.T
-            if dl.x_boxes.size:
-                with timer.phase("down_x"):
-                    chk_pts = cache.down_check_points(zero3, dl.level)
-                    for i, bi in enumerate(dl.x_boxes):
-                        p0, p1 = int(dl.x_seg[i]), int(dl.x_seg[i + 1])
-                        pos = dl.x_src_pos[p0:p1]
-                        K = src_k.matrix_local(
-                            chk_pts, self.ext_points[pos] - plan.centers[bi]
-                        )
-                        xs = ext_phi3[pos].transpose(2, 0, 1).reshape(
-                            nrhs, -1
-                        )
-                        for r in range(nrhs):
-                            dc3[r, bi] += K @ xs[r]
-            with timer.phase("eval"):
-                if dl.dc_boxes.size:
-                    D = cache.dc2de(dl.level)
-                    if pool.sanitize:
-                        _san.guard_gemm(de3, dc3, D,
-                                        site=f"p-dc2de level {dl.level}")
-                    for r in range(nrhs):
-                        de3[r][dl.dc_boxes] = dc3[r][dl.dc_boxes] @ D.T
-                if dl.l2t_boxes.size:
-                    eq_pts = cache.down_equiv_points(zero3, dl.level)
-                    reps = np.diff(dl.l2t_seg)
-                    de_rows = [
-                        np.repeat(de3[r][dl.l2t_boxes], reps, axis=0)
-                        for r in range(nrhs)
-                    ]
-                    npts = int(dl.l2t_seg[-1])
-                    step = max(1, MAX_BLOCK_ENTRIES // (out_dof * n_surf * md))
-                    for p0 in range(0, npts, step):
-                        p1 = min(npts, p0 + step)
-                        K = trg_k.matrix_local(dl.l2t_pts[p0:p1], eq_pts)
-                        K3 = K.reshape(p1 - p0, out_dof, n_surf * md)
-                        tp = dl.l2t_trg_pos[p0:p1]
-                        for r in range(nrhs):
-                            pot3[r][tp] += np.einsum(
-                                "tqm,tm->tq", K3, de_rows[r][p0:p1]
-                            )
 
 
 def rank_setup(
@@ -819,34 +368,19 @@ def rank_setup(
             ext_ranges=(ext_start, ext_stop),
         )
 
-        # Ownership splits of the near-field and V-list work: owned
-        # partners are computable right after the owner relay, ghost
-        # partners only after the scatter completes.
-        boxes = tree.boxes
-        ntrg = np.fromiter((b.ntrg for b in boxes), np.int64, nb)
-        trg_start = np.fromiter((b.trg_start for b in boxes), np.int64, nb)
-        trg_stop = np.fromiter((b.trg_stop for b in boxes), np.int64, nb)
-        gsrc = ptree.global_nsrc
-
-        u_ptr, u_idx = lists.flat("U")
-        u_trg = np.repeat(np.arange(nb), np.diff(u_ptr))
-        um = (ntrg[u_trg] > 0) & (gsrc[u_idx] > 0)
-        ut, us = u_trg[um], u_idx[um]
-        uo = owner[us] == me
-        u_own = build_near_blocks(
-            ut[uo], us[uo], ext_start, ext_stop, trg_start, trg_stop
-        )
-        u_ghost = build_near_blocks(
-            ut[~uo], us[~uo], ext_start, ext_stop, trg_start, trg_stop
+        # The plan's V statistics are gated by global source counts (via
+        # partner_nsrc), so every rank resolves the identical schedule.
+        sched = resolve_m2l_schedule(
+            opts.m2l, opts.dtype,
+            stats=v_stats_from_plan(plan), cache=cache, kernel=kernel,
         )
 
-        w_ptr, w_idx = lists.flat("W")
-        w_trg = np.repeat(np.arange(nb), np.diff(w_ptr))
-        wm = (ntrg[w_trg] > 0) & (gsrc[w_idx] > 0)
-        wt, wp = w_trg[wm], w_idx[wm]
-        wo = owner[wp] == me
-        w_own = build_w_blocks(wt[wo], wp[wo], trg_start, trg_stop)
-        w_ghost = build_w_blocks(wt[~wo], wp[~wo], trg_start, trg_stop)
+        # Ownership splits of the plan's gated near-field and V-list
+        # work: owned partners are computable right after the owner
+        # relay, ghost partners only after the scatter completes.
+        own_pos = np.repeat(owner[used] == me, sizes)
+        u_split = plan.u.split(own_pos[plan.u.src_pos])
+        w_split = plan.w.split(owner[plan.w.src_pos] == me)
 
         # Coarse split levels: fewer boxes than ranks, where the fully
         # redundant tree-top V translations leave ranks idle.  Each
@@ -859,104 +393,46 @@ def rank_setup(
             [len(tree.levels[lvl]) for lvl in range(tree.depth + 1)],
             comm.size,
         )
-        v_compute = ntrg > 0  # default: every box with local targets
-        v_splits: list[_VSplit] = []
-        empty_idx = np.empty(0, dtype=np.int64)
+        boxes = tree.boxes
+        v_compute = np.fromiter((b.ntrg > 0 for b in boxes), bool, nb)
+        v_splits: list[VSplit] = []
         for vl in plan.v_levels:
-            if vl.level in split_levels:
-                lvl_boxes = np.asarray(
-                    tree.levels[vl.level], dtype=np.int64
-                )
-                # The level's global V target set, gated like build_plan:
-                # some rank contributes targets and some partner holds
-                # global sources.
-                schedule = v_split_bcast_schedule(
-                    lvl_boxes, lists, contrib_trg, gsrc
-                )
-                assigned_rank = {
-                    bx: root_r for bx, root_r, _ in schedule
-                }
-                bcast = [
-                    (bx, root_r, parts)
-                    for bx, root_r, parts in schedule if me in parts
-                ]
-                assigned = np.fromiter(
-                    (assigned_rank[int(bx)] == me for bx in vl.trg_boxes),
-                    bool, vl.trg_boxes.size,
-                )
-                v_compute[lvl_boxes] = False
-                v_compute[[bx for bx, r in assigned_rank.items()
-                           if r == me]] = True
-                ghost_classes = []
-                used_src: list[np.ndarray] = []
-                for offset, spos, tpos in vl.classes:
-                    m = assigned[tpos]
-                    if m.any():
-                        ghost_classes.append((offset, spos[m], tpos[m]))
-                        used_src.append(spos[m])
-                v_splits.append(
-                    _VSplit(
-                        own_rows=empty_idx,
-                        ghost_rows=(
-                            np.unique(np.concatenate(used_src))
-                            if used_src else empty_idx
-                        ),
-                        own_classes=[],
-                        ghost_classes=ghost_classes,
-                        inv_rows=np.flatnonzero(assigned),
-                        bcast=bcast,
-                    )
-                )
+            backend = sched.backend(vl.level)
+            if vl.level not in split_levels:
+                v_splits.append(split_v_level(
+                    vl, backend, src_owned=owner[vl.src_boxes] == me,
+                ))
                 continue
-            src_owned = owner[vl.src_boxes] == me
-            own_classes, ghost_classes = [], []
-            for offset, spos, tpos in vl.classes:
-                m = src_owned[spos]
-                if m.any():
-                    own_classes.append((offset, spos[m], tpos[m]))
-                if not m.all():
-                    ghost_classes.append((offset, spos[~m], tpos[~m]))
-            v_splits.append(
-                _VSplit(
-                    own_rows=np.flatnonzero(src_owned),
-                    ghost_rows=np.flatnonzero(~src_owned),
-                    own_classes=own_classes,
-                    ghost_classes=ghost_classes,
-                )
+            lvl_boxes = np.asarray(tree.levels[vl.level], dtype=np.int64)
+            schedule = v_split_bcast_schedule(
+                lvl_boxes, lists, contrib_trg, ptree.global_nsrc
             )
+            assigned_rank = {bx: root_r for bx, root_r, _ in schedule}
+            assigned = np.fromiter(
+                (assigned_rank[int(bx)] == me for bx in vl.trg_boxes),
+                bool, vl.trg_boxes.size,
+            )
+            v_compute[lvl_boxes] = False
+            v_compute[[bx for bx, r in assigned_rank.items() if r == me]] = True
+            sp = split_v_level(vl, backend, assigned=assigned)
+            sp.bcast = [row for row in schedule if me in row[2]]
+            v_splits.append(sp)
 
-    # The plan's V statistics are gated by global source counts (via
-    # partner_nsrc), so every rank resolves the identical schedule.
-    sched = resolve_m2l_schedule(
-        opts.m2l, opts.dtype,
-        stats=v_stats_from_plan(plan), cache=cache, kernel=kernel,
+    executor = PlannedExecutor(
+        tree, plan, kernel, cache, sched, fft,
+        source_kernel=source_kernel, target_kernel=target_kernel,
+        direct_kernel=direct_kernel, sanitize=opts.sanitize,
+        src_points=ext_points, u_split=u_split, w_split=w_split,
+        v_splits=v_splits,
     )
-    if fft is None and sched.needs_fft:
-        fft = FFTM2L(cache)
-
-    src_start = np.fromiter((b.src_start for b in boxes), np.int64, nb)
-    src_stop = np.fromiter((b.src_stop for b in boxes), np.int64, nb)
     return RankFMM(
-        kernel=kernel,
         options=opts,
         ptree=ptree,
         lists=lists,
-        cache=cache,
-        fft=fft,
-        plan=plan,
         layout=layout,
-        ext_points=ext_points,
-        u_own=u_own,
-        u_ghost=u_ghost,
-        w_own=w_own,
-        w_ghost=w_ghost,
-        v_splits=v_splits,
-        src_start=src_start,
-        src_stop=src_stop,
-        source_kernel=source_kernel,
-        target_kernel=target_kernel,
-        direct_kernel=direct_kernel,
-        m2l_schedule=sched,
+        src_start=np.fromiter((b.src_start for b in boxes), np.int64, nb),
+        src_stop=np.fromiter((b.src_stop for b in boxes), np.int64, nb),
+        executor=executor,
         v_compute=v_compute,
     )
 
@@ -1076,7 +552,9 @@ class ParallelFMM:
     :meth:`apply` then evaluates the operator for a new density,
     exchanging only densities and equivalent densities with the
     overlapped nonblocking protocol.  Repeated applies of one operator
-    are bitwise identical; GMRES drives :meth:`matvec`.
+    are bitwise identical; GMRES drives :meth:`matvec`.  ``timers``,
+    ``flops`` and ``comm_stats`` are per-rank lists that accumulate like
+    ``KIFMM.timer``/``KIFMM.flops``.
 
     Requires translation-invariant kernels (checked by
     :func:`~repro.core.evaluator.resolve_kernels`).
@@ -1109,6 +587,7 @@ class ParallelFMM:
         self.cache: OperatorCache | None = None
         self.fft: FFTM2L | None = None
         self.timers = [PhaseTimer() for _ in range(nranks)]
+        self.flops = [FlopCounter() for _ in range(nranks)]
         self.comm_stats = [CommStats() for _ in range(nranks)]
         self.napplies = 0
 
@@ -1185,6 +664,7 @@ class ParallelFMM:
             pot = state.apply(
                 comm, dloc,
                 timer=self.timers[comm.rank], overlap=overlap,
+                flops=self.flops[comm.rank],
             )
             return pot, comm.stats
 

@@ -23,9 +23,11 @@ from repro.analysis.plancheck import (
     seed_reordered_wait,
     sequential_ir,
 )
+from repro.analysis.planir import extract_rank_ir
 from repro.core.fmm import FMMOptions, KIFMM
 from repro.kernels.laplace import LaplaceKernel
 from repro.kernels.stokes import StokesKernel
+from repro.parallel import ParallelFMM
 
 
 @pytest.fixture(scope="module")
@@ -99,6 +101,23 @@ def test_ir_flops_match_measured_apply(points):
             measured = fmm.flops.by_phase()
             for phase, total in ir.flop_totals().items():
                 assert total == measured.get(phase, 0.0)  # bitwise
+
+
+@pytest.mark.parametrize("nrhs", [1, 4])
+@pytest.mark.parametrize("m2l", ["dense", "rsvd", "fft"])
+def test_rank_ir_flops_match_measured_apply(points, m2l, nrhs):
+    """Every rank's static totals equal its FlopCounter of a real
+    2-rank apply, phase by phase."""
+    rng = np.random.default_rng(12)
+    opts = FMMOptions(p=4, max_points=40, m2l=m2l)
+    op = ParallelFMM(2, LaplaceKernel(), opts).setup(points)
+    op.apply(rng.standard_normal((points.shape[0], 1, nrhs)))
+    for state, counter in zip(op._states, op.flops):
+        static = extract_rank_ir(state, nrhs=nrhs).flop_totals()
+        measured = counter.by_phase()
+        assert set(measured) <= set(static)
+        for phase, total in static.items():
+            assert total == measured.get(phase, 0.0)  # bitwise
 
 
 def test_seeded_wait_reorder_caught_by_schedule_only(parallel_ir):

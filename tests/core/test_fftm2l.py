@@ -4,31 +4,53 @@ import numpy as np
 import pytest
 
 from repro.core.fftm2l import FFTM2L
+from repro.core.plan import BufferPool
 from repro.core.precompute import OperatorCache
 from repro.kernels import LaplaceKernel, ModifiedLaplaceKernel, StokesKernel
 
 OFFSETS = [(2, 0, 0), (0, -2, 1), (3, 3, 3), (-3, 2, -1), (0, 0, 2)]
 
 
+def _parent_pair(offset):
+    """Parent offset and child octants of a V offset.
+
+    Each component splits as ``c = 2 * po + a - b`` with octant bits
+    ``a`` (target child) and ``b`` (source child).
+    """
+    po, ot, os_ = [], 0, 0
+    for d, c in enumerate(offset):
+        p = int(np.fix(c / 2))
+        r = c - 2 * p
+        po.append(p)
+        ot |= (r == 1) << d
+        os_ |= (r == -1) << d
+    return tuple(po), ot, os_
+
+
 def _via_fft(fft, level, pairs):
     """Check potential of one target box from ``(offset, ue)`` sources.
 
-    Runs the planned evaluator's batched path: forward transforms of the
-    source rows, one class accumulation per offset, one inverse
-    transform.
+    Runs the executor's fft path: forward transforms of the source rows
+    into a frequency-leading stack, one parent-pair block per source
+    (its other children at the sentinel rows) through the blocked
+    Hadamard, one inverse transform.
     """
     md, qd = fft.kernel.source_dof, fft.kernel.target_dof
     nfreq = fft.m * fft.m * (fft.m // 2 + 1)
-    ue_rows = np.stack([ue for _, ue in pairs])
-    phi_hat = np.empty((len(pairs), md, nfreq), dtype=np.complex128)
-    fft.forward_rows(ue_rows, phi_hat)
-    acc = np.zeros((1, qd, nfreq), dtype=np.complex128)
+    n = len(pairs)
+    phi_ext = np.empty((1, nfreq, n + 1, md), dtype=np.complex128)
+    fft.forward_rows_t(np.stack([ue for _, ue in pairs]), phi_ext[0, :, :n])
+    acc_ext = np.zeros((1, nfreq, 2, qd), dtype=np.complex128)
+    groups = []
     for i, (offset, _) in enumerate(pairs):
-        fft.accumulate_many(
-            acc, fft.kernel_tensor_hat(level, offset),
-            phi_hat[i:i + 1], np.zeros(1, dtype=np.int64),
-        )
-    return fft.inverse_rows(acc)[0]
+        po, ot, os_ = _parent_pair(offset)
+        src = np.full((1, 8), n, dtype=np.int64)
+        src[0, os_] = i
+        trg = np.full((1, 8), 1, dtype=np.int64)
+        trg[0, ot] = 0
+        groups.append((po, src, trg))
+    fft.hadamard_blocked(level, groups, phi_ext, acc_ext, BufferPool())
+    return fft.inverse_rows_t(acc_ext[0, :, :1])[0]
 
 
 @pytest.mark.parametrize(

@@ -11,7 +11,7 @@ depth 3–5 exercises a different level structure.
 import numpy as np
 import pytest
 
-from repro.analysis.planir import extract_plan_ir
+from repro.analysis.planir import extract_rank_ir
 from repro.core.fmm import FMMOptions, KIFMM
 from repro.kernels.laplace import LaplaceKernel
 from repro.kernels.stokes import StokesKernel
@@ -45,9 +45,7 @@ def _setup_ir(kernel, points, depth, nrhs, m2l="fft"):
     opts = FMMOptions(p=3, max_points=20, max_depth=depth, m2l=m2l)
     fmm = KIFMM(kernel, opts).setup(points)
     assert fmm.tree.depth == depth
-    ir = extract_plan_ir(
-        fmm._plan, kernel, fmm.cache, m2l_mode=fmm.m2l_schedule, nrhs=nrhs,
-    )
+    ir = extract_rank_ir(fmm, nrhs=nrhs)
     return fmm, ir
 
 
@@ -72,9 +70,7 @@ def test_resetup_of_one_operator_is_stable(points, depth):
     irs = []
     for _ in range(2):
         fmm.setup(points)
-        irs.append(extract_plan_ir(
-            fmm._plan, kernel, fmm.cache, m2l_mode=fmm.m2l_schedule, nrhs=1,
-        ))
+        irs.append(extract_rank_ir(fmm, nrhs=1))
     assert _fingerprint(irs[0]) == _fingerprint(irs[1])
 
 

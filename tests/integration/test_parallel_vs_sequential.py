@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 from repro.core.fmm import FMMOptions, KIFMM
+from repro.geometry.distributions import corner_clusters
 from repro.kernels import LaplaceKernel, ModifiedLaplaceKernel, StokesKernel
 from repro.kernels.direct import direct_evaluate, relative_error
-from repro.parallel import run_parallel_fmm
+from repro.parallel import ParallelFMM, run_parallel_fmm
 
 from tests.conftest import clustered_cloud, uniform_cloud
 
@@ -53,8 +54,28 @@ def test_single_rank_equals_sequential(rng):
     opts = FMMOptions(p=4, max_points=30)
     seq = KIFMM(LaplaceKernel(), opts).setup(pts).apply(phi)
     par = run_parallel_fmm(1, LaplaceKernel(), pts, phi, opts)
-    assert relative_error(par.potential, seq) < 1e-14
+    assert np.array_equal(par.potential, seq)
     assert par.comm_stats[0].bytes_sent == 0  # nothing to exchange
+
+
+@pytest.mark.parametrize(
+    "kernel,cloud,m2l",
+    [
+        (LaplaceKernel(), lambda rng: clustered_cloud(rng, 600), "dense"),
+        (StokesKernel(), lambda rng: corner_clusters(1000, rng), "auto"),
+        (LaplaceKernel(), lambda rng: corner_clusters(2000, rng), "fft"),
+    ],
+    ids=["laplace-clustered-dense", "stokes-corners-auto", "laplace-corners-fft"],
+)
+def test_single_rank_bitwise_equals_sequential(rng, kernel, cloud, m2l):
+    """One rank runs the sequential program: same executor, no exchange
+    work, every partner own — so the potentials agree bit for bit."""
+    pts = cloud(rng)
+    phi = rng.standard_normal((pts.shape[0], kernel.source_dof))
+    opts = FMMOptions(p=4, m2l=m2l)
+    seq = KIFMM(kernel, opts).setup(pts).apply(phi)
+    par = ParallelFMM(1, kernel, opts).setup(pts).apply(phi)
+    assert np.array_equal(seq, par)
 
 
 def test_accuracy_against_direct(rng):

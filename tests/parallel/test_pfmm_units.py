@@ -5,6 +5,7 @@ import numpy as np
 from repro.core.fmm import FMMOptions
 from repro.kernels import LaplaceKernel
 from repro.parallel import ParallelFMM
+from repro.util.flops import FlopCounter
 
 from tests.conftest import clustered_cloud
 
@@ -14,7 +15,7 @@ def _upward(state, local_phi):
     tree, cache = state.tree, state.cache
     ue3 = np.zeros((tree.nboxes, 1, cache.n_surf * state.kernel.source_dof))
     phi_rm = np.ascontiguousarray(local_phi[tree.src_perm][None])
-    state._upward(ue3, phi_rm)
+    state.executor.upward(ue3, phi_rm, FlopCounter())
     return ue3[:, 0]
 
 
