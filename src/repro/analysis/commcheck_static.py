@@ -21,9 +21,9 @@ the properties an execution at that rank count would exhibit:
     Deadlock-freedom of the wait graph: nodes are the per-rank ops in
     program order; edges are program order (an op runs only after its
     predecessor) plus completion -> matching send (FIFO pairing per
-    channel, covering the segmented ``tree_reduce``/``tree_bcast``
-    parent-child edges, whose blocking receives the IR expands to
-    post+complete pairs).  A cycle is a schedule that cannot make
+    channel, covering the exchange-tree parent-child edges and the
+    segmented ``tree_bcast``, whose blocking receives the IR expands
+    to post+complete pairs).  A cycle is a schedule that cannot make
     progress under *any* interleaving.
 ``conservation``
     Payload conservation of the tree scheme against the flat scheme:

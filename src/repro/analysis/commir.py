@@ -7,12 +7,12 @@ simulated runtime stops — a few dozen ranks.  The protocol claims of the
 paper (and the ROADMAP's 3000-CPU projection) live far beyond that.
 This module closes the gap the way :mod:`repro.analysis.planir` does for
 the compute plan: it extracts the **complete message schedule** — every
-point-to-point send/receive with ``(src, dst, tag)``, every segmented
-tree-reduction/broadcast edge, and the post/relay/wait *program order*
-of every rank — as a static ``CommIR``, directly from the plan inputs
-(partition, contributor matrix, owner map, LET usage, coarse-split
-schedule, ``comm="tree"|"flat"``), **without executing an apply**, for
-arbitrary rank counts including P=4096.
+point-to-point send/receive with ``(src, dst, tag)``, every
+exchange-tree and segmented-broadcast edge, and the post/relay/wait
+*program order* of every rank — as a static ``CommIR``, directly from
+the plan inputs (partition, contributor matrix, owner map, LET usage,
+coarse-split schedule, ``comm="tree"|"flat"``), **without executing an
+apply**, for arbitrary rank counts including P=4096.
 
 The extraction is exact, not a model, because every quantity the
 runtime schedule depends on is a pure function of the replicated
@@ -27,10 +27,11 @@ inputs:
   :func:`~repro.parallel.owners.assign_owners` is already pure;
 - the LET usage masks replicate :func:`~repro.parallel.let.classify_let`
   (vectorised across all ranks at once);
-- the binomial gather/scatter edges come from the same
-  :func:`~repro.parallel.simmpi.tree_order` /
-  :func:`~repro.parallel.simmpi.tree_children` helpers the runtime uses,
-  and every tag is minted through the same
+- the gather/scatter edges of both tree shapes come from the same
+  :func:`~repro.parallel.simmpi.tree_order` layout and
+  :func:`~repro.parallel.exchange.exchange_edges` the runtime uses, so
+  one emitter serves ``comm="tree"`` and ``comm="flat"``; every tag is
+  minted through the same
   :func:`~repro.parallel.simmpi.mk_tag` registry — runtime and verifier
   cannot disagree about the vocabulary;
 - the coarse-split broadcast schedule is shared verbatim via
@@ -55,10 +56,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.fmm import FMMOptions
+from repro.core.fmm import EXCHANGE_SCHEMES, FMMOptions
 from repro.core.m2lschedule import coarse_split_levels
 from repro.octree.lists import InteractionLists, build_lists
 from repro.octree.tree import Octree, build_tree
+from repro.parallel.exchange import exchange_edges, exchange_tag_families
 from repro.parallel.owners import assign_owners, static_contributors
 from repro.parallel.partition import partition_points
 from repro.parallel.pfmm import _global_root, v_split_bcast_schedule
@@ -335,25 +337,6 @@ class _Programs:
         self.complete(rank, src, fam, ids)
 
 
-def _emit_tree_reduce(pb: _Programs, order, fam, ids) -> None:
-    """Every member's ops of one segmented binomial reduction, in the
-    member's program order (mirrors ``SimComm.tree_reduce``: a node
-    receives children in ascending-mask order, then sends its
-    accumulator to its parent and leaves the reduction)."""
-    n = len(order)
-    for pos, r in enumerate(order):
-        mask = 1
-        while mask < n:
-            if pos & mask:
-                pb.send(r, order[pos - mask], fam, ids,
-                        note="inject" if mask == 1 else "relay")
-                break
-            child = pos + mask
-            if child < n:
-                pb.recv_blocking(r, order[child], fam, ids)
-            mask <<= 1
-
-
 def _emit_tree_bcast(pb: _Programs, order, fam, ids) -> None:
     """Every member's ops of one segmented binomial broadcast (mirrors
     ``SimComm.tree_bcast``: receive from the parent, then send to the
@@ -389,139 +372,75 @@ def _box_roles(
     return out
 
 
-def _emit_geo(pb: _Programs, inputs: StaticPlanInputs, scheme: str) -> None:
-    """Setup-time geometry exchange, mirroring
-    :func:`~repro.parallel.exchange.exchange_source_geometry`."""
-    roles = _box_roles(inputs, "geo")
-    if scheme == "tree":
-        for b, o, contribs, _ in roles:
-            _emit_tree_reduce(pb, tree_order(contribs, o), "geo", (b,))
-        for b, o, _, users in roles:
-            _emit_tree_bcast(pb, tree_order(users, o), "geog", (b,))
-        return
-    # Flat: contributor pack loop, owner wait loop (receives in
-    # tree-position order), owner scatter pack loop, user wait loop.
-    for b, o, contribs, _ in roles:
-        for r in contribs:
-            if r != o:
-                pb.send(r, o, "geo", (b,), note="inject")
-    for b, o, contribs, _ in roles:
-        for r in tree_order(contribs, o):
-            if r != o and r in contribs:
-                pb.recv_blocking(o, r, "geo", (b,))
-    for b, o, _, users in roles:
-        for r in users:
-            if r != o:
-                pb.send(o, r, "geog", (b,), note="scatter")
-    for b, o, _, users in roles:
-        for r in users:
-            if r != o:
-                pb.recv_blocking(r, o, "geog", (b,))
+def _emit_exchange(
+    pb: _Programs, inputs: StaticPlanInputs, kinds, scheme: str
+) -> None:
+    """One run of the owner exchange over ``kinds``, mirroring
+    :class:`~repro.parallel.exchange.OwnerExchange` program order —
+    ``("geo",)`` at setup, ``("phi", "pue")`` per apply.
 
-
-def _emit_apply_tree(pb: _Programs, inputs: StaticPlanInputs) -> None:
-    """One apply's exchange under the tree scheme, mirroring
-    :class:`~repro.parallel.exchange.ApplyExchange` program order:
-    ``start`` posts per kind (gather loop then scatter loop), ``relay``
-    walks the gather nodes per box in the shared (kind, box) order —
-    each node waits *its own* children then immediately forwards —
-    and ``finish`` walks the scatter nodes of both kinds in posted
-    order.
+    Every box's gather tree (contributors ∪ owner) and scatter tree
+    (users ∪ owner) take their edges from
+    :func:`~repro.parallel.exchange.exchange_edges`, so one emitter
+    serves both tree shapes.  ``start`` posts per kind (gather loop,
+    with the leaves' sends, then scatter loop); ``relay`` walks the
+    interior and root gather nodes in the shared (kind, box) order —
+    each waits *its own* children, then forwards the partial
+    (interior) or feeds the scatter tree (root); ``finish`` walks the
+    non-root scatter nodes in posted order.
     """
-    kinds = [("phi", "phig"), ("pue", "pueg")]
-    trees: dict[str, list] = {}
-    for kind, _ in kinds:
-        per_box = []
-        for b, o, contribs, users in _box_roles(inputs, kind):
-            order_g = tree_order(contribs, o)
-            order_s = tree_order(users, o)
-            per_box.append((b, o, order_g, order_s))
-        trees[kind] = per_box
+    trees = []
+    for kind in kinds:
+        gfam, sfam = exchange_tag_families(kind)
+        trees.append((gfam, sfam, [
+            (b, tree_order(contribs, o), tree_order(users, o))
+            for b, o, contribs, users in _box_roles(inputs, kind)
+        ]))
 
-    def edges(order, pos):
-        parent = None if pos == 0 else order[tree_parent(pos)]
-        children = [order[c] for c in tree_children(pos, len(order))]
-        return parent, children
+    # A tree's edge positions depend only on its participant count:
+    # memoized per count, since a P=4096 sweep visits millions of nodes.
+    shapes: dict[int, list[tuple[int | None, list[int]]]] = {}
 
-    # start: per kind, gather posts + leaf sends, then scatter posts.
-    for kind, sfam in kinds:
-        for b, o, order_g, order_s in trees[kind]:
-            for pos, m in enumerate(order_g):
-                parent, children = edges(order_g, pos)
-                for r in children:
-                    pb.post(m, r, kind, (b,))
+    def shape(order):
+        edges = shapes.get(len(order))
+        if edges is None:
+            edges = shapes[len(order)] = [
+                exchange_edges(order, pos, scheme)
+                for pos in range(len(order))
+            ]
+        return edges
+
+    for gfam, sfam, boxes in trees:
+        for b, order_g, _ in boxes:
+            for m, (parent, children) in zip(order_g, shape(order_g)):
+                for c in children:
+                    pb.post(m, order_g[c], gfam, (b,))
                 if parent is not None and not children:
-                    pb.send(m, parent, kind, (b,), note="inject")
-        for b, o, order_g, order_s in trees[kind]:
-            for pos, m in enumerate(order_s):
-                if pos != 0:
-                    pb.post(m, order_s[tree_parent(pos)], sfam, (b,))
-    # relay: each interior/root gather node waits *its own* children,
-    # folds, and immediately forwards the partial upward (interior) or
-    # feeds the scatter tree (root) — phi nodes first then pue, each in
-    # box order.  This per-node order is shared by every rank; waiting
-    # all nodes' children before forwarding any partial deadlocks at
-    # large P (see :meth:`ApplyExchange.relay`).
-    for kind, sfam in kinds:
-        for b, o, order_g, order_s in trees[kind]:
-            for pos, m in enumerate(order_g):
-                parent, children = edges(order_g, pos)
-                if parent is not None and not children:
-                    continue
-                for r in children:
-                    pb.complete(m, r, kind, (b,))
+                    pb.send(m, order_g[parent], gfam, (b,), note="inject")
+        for b, _, order_s in boxes:
+            for m, (parent, _) in zip(order_s, shape(order_s)):
                 if parent is not None:
-                    pb.send(m, parent, kind, (b,), note="relay")
-                else:
-                    _p, s_children = edges(order_s, 0)
-                    for r in s_children:
-                        pb.send(m, r, sfam, (b,), note="scatter")
-    # finish: non-root scatter nodes complete their parent's data and
-    # forward it to their scatter children (posted order: phi then pue).
-    for kind, sfam in kinds:
-        for b, o, order_g, order_s in trees[kind]:
-            for pos, m in enumerate(order_s):
-                if pos == 0:
+                    pb.post(m, order_s[parent], sfam, (b,))
+    for gfam, sfam, boxes in trees:
+        for b, order_g, order_s in boxes:
+            for m, (parent, children) in zip(order_g, shape(order_g)):
+                if parent is not None and not children:
                     continue
-                parent, children = edges(order_s, pos)
-                pb.complete(m, parent, sfam, (b,))
-                for r in children:
-                    pb.send(m, r, sfam, (b,), note="scatter")
-
-
-def _emit_apply_flat(pb: _Programs, inputs: StaticPlanInputs) -> None:
-    """One apply's exchange under the flat scheme: contributors send to
-    the owner, owners post from contributors and users post from
-    owners (``start``), owners complete then scatter (``relay``), users
-    complete (``finish``)."""
-    kinds = [("phi", "phig"), ("pue", "pueg")]
-    roles = {kind: _box_roles(inputs, kind) for kind, _ in kinds}
-    for kind, sfam in kinds:
-        for b, o, contribs, users in roles[kind]:
-            for r in contribs:
-                if r != o:
-                    pb.send(r, o, kind, (b,), note="inject")
-        for b, o, contribs, users in roles[kind]:
-            for r in tree_order(contribs, o):
-                if r != o:
-                    pb.post(o, r, kind, (b,))
-        for b, o, contribs, users in roles[kind]:
-            for r in users:
-                if r != o:
-                    pb.post(r, o, sfam, (b,))
-    for kind, sfam in kinds:
-        for b, o, contribs, users in roles[kind]:
-            for r in tree_order(contribs, o):
-                if r != o:
-                    pb.complete(o, r, kind, (b,))
-            for r in tree_order(users, o):
-                if r != o:
-                    pb.send(o, r, sfam, (b,), note="scatter")
-    for kind, sfam in kinds:
-        for b, o, contribs, users in roles[kind]:
-            for r in users:
-                if r != o:
-                    pb.complete(r, o, sfam, (b,))
+                for c in children:
+                    pb.complete(m, order_g[c], gfam, (b,))
+                if parent is not None:
+                    pb.send(m, order_g[parent], gfam, (b,), note="relay")
+                    continue
+                for c in shape(order_s)[0][1]:
+                    pb.send(m, order_s[c], sfam, (b,), note="scatter")
+    for gfam, sfam, boxes in trees:
+        for b, _, order_s in boxes:
+            for m, (parent, children) in zip(order_s, shape(order_s)):
+                if parent is None:
+                    continue
+                pb.complete(m, order_s[parent], sfam, (b,))
+                for c in children:
+                    pb.send(m, order_s[c], sfam, (b,), note="scatter")
 
 
 def _emit_vsp(pb: _Programs, inputs: StaticPlanInputs) -> None:
@@ -552,17 +471,14 @@ def extract_comm_ir(
     repeats the per-apply exchange (channels then carry one message per
     apply, in FIFO order).
     """
-    if scheme not in ("tree", "flat"):
+    if scheme not in EXCHANGE_SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     pb = _Programs(inputs.nranks)
     with gc_paused():
         if include_setup:
-            _emit_geo(pb, inputs, scheme)
+            _emit_exchange(pb, inputs, ("geo",), scheme)
         for _ in range(napplies):
-            if scheme == "tree":
-                _emit_apply_tree(pb, inputs)
-            else:
-                _emit_apply_flat(pb, inputs)
+            _emit_exchange(pb, inputs, ("phi", "pue"), scheme)
             _emit_vsp(pb, inputs)
     roles: dict[str, dict[tuple, tuple[int, frozenset, frozenset]]] = {}
     for kind, _gf, _sf in EXCHANGE_KINDS:

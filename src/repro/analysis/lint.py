@@ -599,7 +599,7 @@ class TagRegistryRule(Rule):
 
     _COMM_OPS = {
         "send", "isend", "recv", "irecv",
-        "tree_reduce", "tree_bcast", "bcast", "reduce",
+        "tree_bcast", "bcast", "reduce",
     }
 
     @staticmethod

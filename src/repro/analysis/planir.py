@@ -363,10 +363,14 @@ def extract_rank_ir(state, *, nrhs: int = 1, overlap: bool = True) -> PlanIR:
         # scatter (ghost), per payload kind.  Row counts come from the
         # exchange plans.
         partial_regions = tuple(up_region(ul.level) for ul in plan.up_levels)
-        own_phi = [bx for bx, _, _, _, selfu in lay.phi.owned if selfu]
-        ghost_phi = [bx for bx, _ in lay.phi.recv_from]
-        own_ue = [bx for bx, _, _, _, selfu in lay.pue.owned if selfu]
-        ghost_ue = [bx for bx, _ in lay.pue.recv_from]
+        # Own boxes are scatter roots this rank uses; ghost boxes are
+        # the non-root scatter nodes.
+        own_phi = [n.box for n in lay.phi.scatter
+                   if n.parent is None and n.local]
+        ghost_phi = [n.box for n in lay.phi.scatter if n.parent is not None]
+        own_ue = [n.box for n in lay.pue.scatter
+                  if n.parent is None and n.local]
+        ghost_ue = [n.box for n in lay.pue.scatter if n.parent is not None]
 
         def ext_rows(boxes_) -> int:
             return int(

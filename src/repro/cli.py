@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.error import estimate_error
-from repro.core.fmm import FMMOptions, KIFMM
+from repro.core.fmm import EXCHANGE_SCHEMES, FMMOptions, KIFMM
 from repro.geometry import corner_clusters, sphere_grid_points, uniform_cube
 from repro.kernels import (
     LaplaceKernel,
@@ -279,7 +279,7 @@ def _cmd_commcheck(args: argparse.Namespace) -> int:
         if args.collectives:
             print("  collectives:")
             for prim in ("allreduce", "bcast", "reduce_scatter",
-                         "tree_reduce", "tree_bcast"):
+                         "tree_bcast"):
                 calls = getattr(total, f"{prim}_calls")
                 nbytes = getattr(total, f"{prim}_bytes")
                 print(f"    {prim:>14}: {calls} calls / {nbytes} B")
@@ -608,7 +608,7 @@ def _cmd_commir(args: argparse.Namespace) -> int:
               "(empty --ranks, --kernels or --schemes)")
         return 2
     for s in schemes:
-        if s not in ("tree", "flat"):
+        if s not in EXCHANGE_SCHEMES:
             print(f"commir: unknown comm scheme {s!r}")
             return 2
     pts = _WORKLOADS[args.workload](args.n, rng)
@@ -1160,7 +1160,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "schedule itself is kernel-invariant)")
     pci.add_argument("--ranks", default="2,4,8,64,4096",
                      help="comma-separated rank counts to certify")
-    pci.add_argument("--schemes", default="tree,flat",
+    pci.add_argument("--schemes", default=",".join(EXCHANGE_SCHEMES),
                      help="comma-separated comm schemes")
     pci.add_argument("--nrhs", default="1,8",
                      help="comma-separated multi-RHS block widths "
@@ -1194,7 +1194,7 @@ def build_parser() -> argparse.ArgumentParser:
     pd.add_argument("--ranks", default="2,3",
                     help="comma-separated rank counts to explore "
                          "(state space grows fast; keep tiny)")
-    pd.add_argument("--schemes", default="tree,flat",
+    pd.add_argument("--schemes", default=",".join(EXCHANGE_SCHEMES),
                     help="comma-separated comm schemes")
     pd.add_argument("--max-states", type=int, default=2_000_000,
                     help="abort exploration beyond this many scheduler "

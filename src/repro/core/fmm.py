@@ -35,6 +35,11 @@ from repro.octree.tree import Octree, build_tree
 from repro.util.flops import FlopCounter
 from repro.util.timing import PhaseTimer
 
+#: Communication schemes of the parallel owner exchange.  A scheme is
+#: only the shape of each box's gather/scatter tree (binomial or a
+#: star rooted at the owner); see :mod:`repro.parallel.exchange`.
+EXCHANGE_SCHEMES = ("tree", "flat")
+
 
 @dataclass
 class FMMOptions:
@@ -73,10 +78,11 @@ class FMMOptions:
         :mod:`repro.octree.balance`).
     comm:
         Parallel communication scheme for the owner gather/scatter of
-        :mod:`repro.parallel.exchange`: ``"tree"`` (default, hierarchical
-        binomial reduction — O(log P) messages per rank at the tree top)
-        or ``"flat"`` (the paper's literal Algorithm 1 — O(P) at coarse
-        boxes).  Bitwise-identical results; ignored by the serial path.
+        :mod:`repro.parallel.exchange`, one of :data:`EXCHANGE_SCHEMES`:
+        ``"tree"`` (default, binomial trees — O(log P) messages per rank
+        at the tree top) or ``"flat"`` (a star rooted at the box owner,
+        the paper's literal Algorithm 1 — O(P) at coarse boxes).
+        Bitwise-identical results; ignored by the serial path.
     sanitize:
         Run the planned executor under the runtime sanitizers
         (:mod:`repro.analysis.sanitize`): BufferPool lifecycle with
@@ -116,9 +122,9 @@ class FMMOptions:
                 f"surface radii must satisfy 1 < inner < outer < 3, "
                 f"got inner={self.inner}, outer={self.outer}"
             )
-        if self.comm not in ("tree", "flat"):
+        if self.comm not in EXCHANGE_SCHEMES:
             raise ValueError(
-                f"comm must be 'tree' or 'flat', got {self.comm!r}"
+                f"comm must be one of {EXCHANGE_SCHEMES}, got {self.comm!r}"
             )
 
 

@@ -124,6 +124,20 @@ class Octree:
         }
 
 
+def require_finite(points: np.ndarray, role: str) -> None:
+    """Reject NaN or infinite coordinates.
+
+    Such a row has no place in the octree: its Morton key is garbage,
+    and the potentials come back finite and wrong without any error.
+    """
+    bad = int(np.count_nonzero(~np.isfinite(points).all(axis=1)))
+    if bad:
+        raise ValueError(
+            f"{bad} of {points.shape[0]} {role} rows have non-finite "
+            f"coordinates (NaN or inf)"
+        )
+
+
 def _root_cube(points: np.ndarray, pad: float = 1e-6) -> tuple[np.ndarray, float]:
     """Smallest axis-aligned cube (slightly padded) containing the points."""
     lo = points.min(axis=0)
@@ -171,6 +185,9 @@ def build_tree(
     targets_arr = sources if shared else np.ascontiguousarray(targets, np.float64)
     if targets_arr.ndim != 2 or targets_arr.shape[1] != 3:
         raise ValueError(f"targets must be (n, 3), got {targets_arr.shape}")
+    require_finite(sources, "source")
+    if not shared:
+        require_finite(targets_arr, "target")
     if max_points < 1:
         raise ValueError(f"max_points must be >= 1, got {max_points}")
     if not 1 <= max_depth <= MAX_DEPTH:

@@ -7,48 +7,56 @@ iterate over all boxes in the LET instead of just the leaf boxes, and
 (2) the owner of a box sums up the received upward equivalent densities
 to obtain the global upward equivalent densities for that box").
 
-All sends are buffered (MPI_Isend semantics), and within each box the
-dependency edges form a rooted tree, processed in ascending box order on
-every rank — the protocol is deadlock-free under both schemes below.
+One engine (:class:`OwnerExchange`) runs every owner exchange.  For
+each circulating box the participants — the contributors (gather) or
+the users (scatter), plus the owner — are laid out on tree positions by
+:func:`~repro.parallel.simmpi.tree_order`, the owner at position 0, and
+:func:`exchange_edges` gives every position its parent and children.
+The gather folds pieces up that tree to the owner; the scatter sends
+the combined data down the users' tree.  All sends are buffered and
+every rank walks the boxes in the same ascending order, so the protocol
+is deadlock-free for any tree shape.
 
-Every exchange supports two *communication schemes*:
+The communication scheme (``FMMOptions.comm``) is only that shape:
 
-``"flat"``
-    The paper's literal Algorithm 1: every contributor sends its piece
-    point-to-point to the box owner, the owner reduces and sends the
-    combined data point-to-point to every user.  The owner of a coarse
-    box handles O(P) messages.
 ``"tree"`` (default)
-    The hierarchical tree-top reduction: contributors combine partial
-    data along the deterministic binomial rank tree of
-    :func:`repro.parallel.simmpi.tree_order` rooted at the owner, so
-    each rank — the owner included — touches O(log P) messages per box;
-    the scatter mirrors the same tree downward from the owner.
+    The binomial tree of :func:`~repro.parallel.simmpi.tree_parent` /
+    :func:`~repro.parallel.simmpi.tree_children`: each rank — the owner
+    included — touches O(log P) messages per box.
+``"flat"``
+    A star rooted at the owner: the paper's literal Algorithm 1, where
+    every contributor sends to the owner and the owner sends to every
+    user.  The owner of a coarse box handles O(P) messages.
 
-The two schemes are **bitwise identical**: both reduce with the fixed
-binomial association of :func:`~repro.parallel.simmpi.combine_tree`
-over the same participant layout, and both concatenate source pieces in
-tree-position order (owner first, then the remaining contributors in
-rotated ascending rank order).  Switching the scheme changes the
-message pattern, never a floating-point result.
+The two schemes are **bitwise identical**.  Every node folds its own
+piece and its children's partial folds at their relative tree positions
+with :func:`~repro.parallel.simmpi.combine_tree` (:func:`fold_subtree`).
+For a binomial node that is the sequential fold of its subtree, for the
+star root it is the fold of all pieces, and under both it reproduces
+the association of :func:`combine_tree` over the whole layout.  Source
+pieces concatenate in tree-position order (owner first, then the
+remaining contributors in rotated ascending rank order).  Switching the
+scheme changes the message pattern, never a floating-point result.
 
-Both exchanges serve the persistent parallel operator
-(:func:`repro.parallel.pfmm.rank_setup` / :class:`~repro.parallel.pfmm.RankFMM`):
+Three payload kinds run through the engine, for the persistent
+parallel operator (:func:`repro.parallel.pfmm.rank_setup` /
+:class:`~repro.parallel.pfmm.RankFMM`):
 
-- :func:`exchange_source_geometry` runs once at setup and circulates
-  ghost source *positions* (blocking, time accounted under the ``pack``
-  send side and ``wait`` receive side phases);
-- :class:`ApplyExchange` runs the per-apply density / equivalent-density
-  exchange with ``isend``/``irecv`` so the owner relay and the final
-  ghost waits can be overlapped with owned-data computation.
+- ``geo`` — :func:`exchange_source_geometry` runs once at setup and
+  circulates ghost source *positions*;
+- ``phi`` and ``pue`` — :class:`ApplyExchange` runs the per-apply
+  density / partial equivalent-density exchange, so the owner relay and
+  the final ghost waits can be overlapped with owned-data computation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
+from repro.core.fmm import EXCHANGE_SCHEMES
 from repro.core.plan import StageMeta, plan_stage
 from repro.parallel.simmpi import (
     Request,
@@ -62,9 +70,6 @@ from repro.parallel.simmpi import (
     tree_parent,
 )
 from repro.util.timing import PhaseTimer
-
-#: Recognised communication schemes (see module docstring).
-EXCHANGE_SCHEMES = ("tree", "flat")
 
 # Tag families of the owner-centric box exchanges.  Each payload kind
 # owns a gather family (contributor -> owner direction) and a scatter
@@ -90,36 +95,259 @@ def exchange_tag_families(kind: str) -> tuple[str, str]:
     return kind, kind + "g"
 
 
-def _check_scheme(scheme: str) -> str:
-    if scheme not in EXCHANGE_SCHEMES:
-        raise ValueError(
-            f"exchange scheme must be one of {EXCHANGE_SCHEMES}, "
-            f"got {scheme!r}"
-        )
-    return scheme
+def exchange_edges(
+    order: list[int], pos: int, scheme: str
+) -> tuple[int | None, list[int]]:
+    """``(parent, children)`` *positions* of ``pos`` in one box's
+    exchange tree over ``order`` (the owner sits at position 0).
+
+    ``"tree"`` gives the binomial edges, ``"flat"`` a star: the root's
+    children are every other position, every other position's parent is
+    the root.  Children come in ascending position order — the order a
+    node receives (gather) and sends (scatter) them.  This is the only
+    place the communication scheme is read.
+    """
+    if scheme == "tree":
+        parent = None if pos == 0 else tree_parent(pos)
+        return parent, tree_children(pos, len(order))
+    if scheme == "flat":
+        return (None, list(range(1, len(order)))) if pos == 0 else (0, [])
+    raise ValueError(
+        f"exchange scheme must be one of {EXCHANGE_SCHEMES}, got {scheme!r}"
+    )
 
 
-def _gather_pieces_flat(
-    comm: SimComm,
-    b: int,
-    order: list[int],
-    is_contrib,
-    own_piece,
-    tag: tuple,
-) -> list:
-    """Flat gather in tree-position order: one ``None``-padded piece
-    per participant position, ready for :func:`combine_tree` (which
-    reproduces the hierarchical scheme's association exactly)."""
-    me = comm.rank
-    pieces = []
-    for r in order:
-        if not is_contrib(r):
-            pieces.append(None)
-        elif r == me:
-            pieces.append(own_piece())
-        else:
-            pieces.append(comm.recv(int(r), tag=tag))
-    return pieces
+def fold_subtree(own, partials: list, slots: list[int], combine):
+    """Fold one tree node's data: its own piece (``None`` if it has
+    none) at relative position 0 and each child's partial fold at the
+    child's position relative to the node (``slots``), with the
+    association of :func:`~repro.parallel.simmpi.combine_tree`.
+
+    A child's subtree fills the positions between its slot and the next
+    one, so the result is the node's share of :func:`combine_tree` over
+    the whole layout — for a binomial node and for the star root alike.
+    """
+    vals = [None] * (1 + max(slots, default=0))
+    vals[0] = own
+    for slot, part in zip(slots, partials):
+        vals[slot] = part
+    return combine_tree(vals, combine)
+
+
+class ExchangeNode(NamedTuple):
+    """This rank's node in one box's gather or scatter tree."""
+
+    box: int
+    #: Parent rank; ``None`` at the root (the box owner).
+    parent: int | None
+    #: Child ranks in ascending tree position.
+    children: list[int]
+    #: The children's tree positions relative to this node.
+    slots: list[int]
+    #: This rank contributes a piece (gather) or uses the data (scatter).
+    local: bool
+
+
+@plan_stage
+@dataclass
+class ExchangePlan:
+    """One rank's role in the exchange of one payload kind.
+
+    Precomputed at setup from the contributor/user matrices, the owner
+    map and the scheme's tree shape (:func:`exchange_edges`); both node
+    lists are in ascending box order, so message posting order — and
+    therefore the reduction order — is schedule independent.
+    """
+
+    kind: str  # "geo" (positions), "phi" (densities), "pue" (partial ue)
+    #: Gather-tree nodes this rank occupies (contributors ∪ owner).
+    gather: list[ExchangeNode]
+    #: Scatter-tree nodes this rank occupies (users ∪ owner).
+    scatter: list[ExchangeNode]
+
+    stage_meta = StageMeta(
+        reads=("phi", "ue"), writes=("ue", "ext_phi"), dtype="float64"
+    )
+
+
+def build_exchange_plan(
+    kind: str,
+    me: int,
+    boxes: np.ndarray,
+    contrib_src: np.ndarray,
+    users: np.ndarray,
+    owner: np.ndarray,
+    scheme: str = "tree",
+) -> ExchangePlan:
+    """This rank's gather and scatter nodes over the circulating
+    ``boxes``."""
+    gather: list[ExchangeNode] = []
+    scatter: list[ExchangeNode] = []
+    for b in boxes:
+        b = int(b)
+        o = int(owner[b])
+        for nodes, members in ((gather, contrib_src), (scatter, users)):
+            if me != o and not members[me, b]:
+                continue
+            order = tree_order(np.nonzero(members[:, b])[0], o)
+            pos = order.index(me)
+            parent, children = exchange_edges(order, pos, scheme)
+            nodes.append(ExchangeNode(
+                b,
+                None if parent is None else order[parent],
+                [order[c] for c in children],
+                [c - pos for c in children],
+                bool(members[me, b]),
+            ))
+    return ExchangePlan(kind, gather, scatter)
+
+
+@dataclass
+class Payload:
+    """What one exchange kind moves and where it lands on this rank."""
+
+    plan: ExchangePlan
+    #: This rank's piece of a box it contributes to.
+    piece: Callable[[int], np.ndarray]
+    #: Pairwise fold: concatenation for positions and densities,
+    #: summation for partial equivalent densities.
+    combine: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    #: Place the combined data of a box this rank uses.
+    store: Callable[[int, np.ndarray], None]
+    #: Columns of the combined data of a box nobody contributes to.
+    width: int
+
+
+class OwnerExchange:
+    """The owner gather/scatter of one or more payload kinds.
+
+    ``start`` posts every receive up front and ships the pieces of
+    gather *leaves* (buffered ``isend`` + posted ``irecv``, so the
+    protocol cannot deadlock).  ``relay`` completes the gather side:
+    every interior node folds its subtree and forwards the partial, and
+    every owner finalizes the combined data, sends it to its scatter
+    children and stores it locally.  ``finish`` completes the scatter
+    side: non-root nodes receive, forward and store.  Between ``relay``
+    and ``finish`` the receive queues fill while the caller computes on
+    owned data — the communication/computation overlap window.
+    """
+
+    def __init__(
+        self, comm: SimComm, payloads: list[Payload], timer: PhaseTimer
+    ) -> None:
+        self._comm = comm
+        self._payloads = payloads
+        self._timer = timer
+        #: Race-detector hook: the per-rank recorder installed by
+        #: ``run_spmd(race=...)``, or None on uninstrumented runs.
+        self._rec = current_recorder()
+        # Interior/root gather nodes with their children's requests,
+        # non-root scatter nodes with their parent's request, and the
+        # scatter roots by (kind, box).
+        self._gnodes: list[tuple[Payload, ExchangeNode, list[Request]]] = []
+        self._snodes: list[tuple[Payload, ExchangeNode, Request]] = []
+        self._sroots: dict[tuple[str, int], ExchangeNode] = {}
+
+    def start(self) -> "OwnerExchange":
+        """Post every receive and ship every gather leaf's piece."""
+        comm = self._comm
+        with self._timer.phase("pack"):
+            for pay in self._payloads:
+                kind = pay.plan.kind
+                gphase, sphase = f"{kind}_gather", f"{kind}_scatter"
+                for node in pay.plan.gather:
+                    reqs = [
+                        comm.irecv(r, tag=mk_tag(kind, node.box),
+                                   phase=gphase)
+                        for r in node.children
+                    ]
+                    if node.parent is not None and not node.children:
+                        comm.isend(
+                            node.parent, pay.piece(node.box),
+                            tag=mk_tag(kind, node.box), phase=gphase,
+                        )
+                    else:
+                        self._gnodes.append((pay, node, reqs))
+                for node in pay.plan.scatter:
+                    if node.parent is None:
+                        self._sroots[(kind, node.box)] = node
+                    else:
+                        req = comm.irecv(
+                            node.parent, tag=mk_tag(kind + "g", node.box),
+                            phase=sphase,
+                        )
+                        self._snodes.append((pay, node, req))
+        return self
+
+    def relay(self) -> None:
+        """Complete the gathers, fold, and launch the scatters.
+
+        Each node waits, folds and forwards *per node*, in the (kind,
+        box) order every rank shares — never waiting all nodes' children
+        before forwarding any partial.  Two ranks can each be an
+        interior gather node in a box the *other* is a child of (first
+        possible once binomial gather trees reach four participants);
+        under wait-all-then-forward each rank's forward is
+        program-ordered behind its wait for the other's forward — a
+        deadlock cycle.  With the shared ascending order, a node's
+        forward for box ``b`` waits only on ``b``'s own subtree and on
+        boxes strictly earlier in the shared order, so every wait chain
+        is well-founded.  The static verifier (``repro commir``) checks
+        exactly this property at P=4096.
+        """
+        comm = self._comm
+        rec = self._rec
+        with self._timer.phase("wait"):
+            for pay, node, reqs in self._gnodes:
+                kind, b = pay.plan.kind, node.box
+                partials = [r.wait() for r in reqs]
+                if rec is not None:
+                    # Partials arrive by reference: reading them is a
+                    # cross-rank access on the sender's arrays, ordered
+                    # by the gather message.
+                    for part in partials:
+                        rec.read(part, f"relay:piece box {b}")
+                acc = fold_subtree(
+                    pay.piece(b) if node.local else None,
+                    partials, node.slots, pay.combine,
+                )
+                if node.parent is not None:
+                    if rec is not None:
+                        rec.write(acc, f"relay:partial box {b}")
+                    comm.isend(node.parent, acc, tag=mk_tag(kind, b),
+                               phase=f"{kind}_gather")
+                    continue
+                # Owner: the combined array is always freshly allocated
+                # — a fold of one piece is that piece, which may be a
+                # view of local data or a peer's buffer.
+                if acc is None:
+                    data = np.empty((0, pay.width))
+                elif node.local + len(partials) == 1:
+                    data = acc.copy()
+                else:
+                    data = acc
+                if rec is not None:
+                    rec.write(data, f"relay:combine box {b}")
+                self._scatter(pay, self._sroots[(kind, b)], data)
+
+    def finish(self) -> None:
+        """Complete the scatters: receive, forward and store."""
+        with self._timer.phase("wait"):
+            for pay, node, req in self._snodes:
+                data = req.wait()
+                if self._rec is not None:
+                    self._rec.read(data, f"finish:recv box {node.box}")
+                self._scatter(pay, node, data)
+
+    def _scatter(self, pay: Payload, node: ExchangeNode, data) -> None:
+        """Send ``data`` to the node's scatter children, then store it
+        if this rank uses the box."""
+        kind = pay.plan.kind
+        for r in node.children:
+            self._comm.isend(r, data, tag=mk_tag(kind + "g", node.box),
+                             phase=f"{kind}_scatter")
+        if node.local:
+            pay.store(node.box, data)
 
 
 def exchange_source_geometry(
@@ -136,195 +364,26 @@ def exchange_source_geometry(
 
     The persistent operator exchanges ghost geometry once: positions
     never change between applies, so each :class:`ApplyExchange` moves
-    only densities.  Contributor pieces concatenate in tree-position
-    order (:func:`~repro.parallel.simmpi.tree_order` rooted at the
-    owner, restricted to contributors) under **both** schemes —
-    :class:`ApplyExchange` reassembles densities in the identical
-    order, so the combined points and the combined densities stay row
-    aligned across applies and across schemes.
+    only densities.  Pieces concatenate in tree-position order under
+    both schemes, and :class:`ApplyExchange` reassembles densities in
+    the identical order, so the combined points and the combined
+    densities stay row aligned across applies and across schemes.
 
     Returns ``{box: global_points}`` for every box this rank uses.
     """
-    _check_scheme(scheme)
-    me = comm.rank
-    timer = timer if timer is not None else PhaseTimer()
-
-    def cat(a, b_):
-        return np.vstack([a, b_])
-
-    combined: dict[int, np.ndarray] = {}
-    if scheme == "tree":
-        with timer.phase("wait"):
-            for b in boxes:
-                o = int(owner[b])
-                parts = set(np.nonzero(contrib_src[:, b])[0].tolist()) | {o}
-                if me not in parts:
-                    continue
-                mine = local_points[b] if contrib_src[me, b] else None
-                total = comm.tree_reduce(
-                    mine, o, parts, tag=mk_tag("geo", int(b)), combine=cat,
-                    phase="geo_gather",
-                )
-                if o == me:
-                    combined[int(b)] = (
-                        total if total is not None else np.empty((0, 3))
-                    )
-    else:
-        with timer.phase("pack"):
-            for b in boxes:
-                if contrib_src[me, b] and owner[b] != me:
-                    comm.send(int(owner[b]), local_points[b],
-                              tag=mk_tag("geo", int(b)), phase="geo_gather")
-        with timer.phase("wait"):
-            for b in boxes:
-                if owner[b] != me:
-                    continue
-                order = tree_order(np.nonzero(contrib_src[:, b])[0], me)
-                pieces = _gather_pieces_flat(
-                    comm, int(b), order,
-                    lambda r, _b=b: bool(contrib_src[r, _b]),
-                    lambda _b=b: local_points[_b], mk_tag("geo", int(b)),
-                )
-                total = combine_tree(pieces, cat)
-                combined[int(b)] = (
-                    total if total is not None else np.empty((0, 3))
-                )
-
+    plan = build_exchange_plan(
+        "geo", comm.rank, boxes, contrib_src, users_src, owner, scheme
+    )
     result: dict[int, np.ndarray] = {}
-    if scheme == "tree":
-        with timer.phase("wait"):
-            for b in boxes:
-                o = int(owner[b])
-                parts = set(np.nonzero(users_src[:, b])[0].tolist()) | {o}
-                if me not in parts:
-                    continue
-                data = comm.tree_bcast(
-                    combined[int(b)] if o == me else None, o, parts,
-                    tag=mk_tag("geog", int(b)), phase="geo_scatter",
-                )
-                if users_src[me, b]:
-                    result[int(b)] = data
-    else:
-        with timer.phase("pack"):
-            for b in boxes:
-                if owner[b] == me:
-                    for r in np.nonzero(users_src[:, b])[0]:
-                        if r != me:
-                            comm.send(int(r), combined[int(b)],
-                                      tag=mk_tag("geog", int(b)),
-                                      phase="geo_scatter")
-        with timer.phase("wait"):
-            for b in boxes:
-                if not users_src[me, b]:
-                    continue
-                if owner[b] == me:
-                    result[int(b)] = combined[int(b)]
-                else:
-                    result[int(b)] = comm.recv(
-                        int(owner[b]), tag=mk_tag("geog", int(b))
-                    )
+    exch = OwnerExchange(
+        comm,
+        [Payload(plan, local_points.__getitem__,
+                 lambda a, c: np.vstack([a, c]), result.__setitem__, 3)],
+        timer if timer is not None else PhaseTimer(),
+    ).start()
+    exch.relay()
+    exch.finish()
     return result
-
-
-def _tree_edges(
-    order: list[int], me: int
-) -> tuple[int | None, list[int]]:
-    """This rank's (parent, children) in the binomial tree over ``order``."""
-    pos = order.index(me)
-    parent = None if pos == 0 else order[tree_parent(pos)]
-    children = [order[c] for c in tree_children(pos, len(order))]
-    return parent, children
-
-
-@plan_stage
-@dataclass
-class ExchangePlan:
-    """One rank's role in the per-apply exchange of one payload kind.
-
-    Precomputed at setup from the contributor/user matrices and the
-    owner map; every list is in ascending box order and every rank list
-    in the *tree-position* order of
-    :func:`~repro.parallel.simmpi.tree_order` rooted at the owner, so
-    message posting order — and therefore the reduction order — is
-    schedule independent and identical under both schemes.
-
-    ``send_to_owner`` / ``owned`` / ``recv_from`` describe the flat
-    owner-centric roles and are filled under both schemes (the plan IR
-    derives ghost-row layouts from them); ``gather`` / ``scatter`` hold
-    the per-box binomial-tree edges and drive the ``"tree"`` scheme.
-    """
-
-    kind: str  # "phi" (source densities) or "pue" (partial equiv dens.)
-    #: Boxes this rank contributes to but does not own: ``(box, owner)``.
-    send_to_owner: list[tuple[int, int]]
-    #: Boxes this rank owns:
-    #: ``(box, peer_contributors, self_contributes, peer_users, self_uses)``.
-    owned: list[tuple[int, list[int], bool, list[int], bool]]
-    #: Boxes this rank uses but does not own: ``(box, owner)``.
-    recv_from: list[tuple[int, int]]
-    #: Communication scheme driving :class:`ApplyExchange` (see module
-    #: docstring).
-    scheme: str = "tree"
-    #: Gather-tree nodes this rank occupies (contributors ∪ owner):
-    #: ``(box, parent_rank_or_None, child_ranks, self_contributes)``.
-    gather: list[tuple[int, int | None, list[int], bool]] = field(
-        default_factory=list
-    )
-    #: Scatter-tree nodes this rank occupies (users ∪ owner):
-    #: ``(box, parent_rank_or_None, child_ranks, self_uses)``.
-    scatter: list[tuple[int, int | None, list[int], bool]] = field(
-        default_factory=list
-    )
-
-    stage_meta = StageMeta(
-        reads=("phi", "ue"), writes=("ue", "ext_phi"), dtype="float64"
-    )
-
-
-def build_exchange_plan(
-    kind: str,
-    me: int,
-    boxes: np.ndarray,
-    contrib_src: np.ndarray,
-    users: np.ndarray,
-    owner: np.ndarray,
-    scheme: str = "tree",
-) -> ExchangePlan:
-    """Split the circulating ``boxes`` by this rank's role."""
-    _check_scheme(scheme)
-    send_to_owner: list[tuple[int, int]] = []
-    owned: list[tuple[int, list[int], bool, list[int], bool]] = []
-    recv_from: list[tuple[int, int]] = []
-    gather: list[tuple[int, int | None, list[int], bool]] = []
-    scatter: list[tuple[int, int | None, list[int], bool]] = []
-    for b in boxes:
-        b = int(b)
-        o = int(owner[b])
-        contribs = np.nonzero(contrib_src[:, b])[0]
-        user_rs = np.nonzero(users[:, b])[0]
-        order_g = tree_order(contribs, o)
-        order_s = tree_order(user_rs, o)
-        if o == me:
-            owned.append(
-                (b, [r for r in order_g if r != me],
-                 bool(contrib_src[me, b]),
-                 [r for r in order_s if r != me],
-                 bool(users[me, b]))
-            )
-        else:
-            if contrib_src[me, b]:
-                send_to_owner.append((b, o))
-            if users[me, b]:
-                recv_from.append((b, o))
-        if me == o or contrib_src[me, b]:
-            parent, children = _tree_edges(order_g, me)
-            gather.append((b, parent, children, bool(contrib_src[me, b])))
-        if me == o or users[me, b]:
-            parent, children = _tree_edges(order_s, me)
-            scatter.append((b, parent, children, bool(users[me, b])))
-    return ExchangePlan(
-        kind, send_to_owner, owned, recv_from, scheme, gather, scatter
-    )
 
 
 @dataclass
@@ -337,20 +396,10 @@ class GhostLayout:
     ext_stop: np.ndarray
 
 
-class ApplyExchange:
-    """One apply's in-flight nonblocking exchange.
-
-    ``start`` posts every send and receive of both sub-exchanges up
-    front (buffered ``isend`` + posted ``irecv``, so the protocol cannot
-    deadlock).  ``relay`` completes the gather side: owners reduce the
-    contributor pieces — concatenation for densities, summation for
-    partial equivalent densities (linearity of eq. 2.1/2.3) — scatter
-    the combined data to users and store locally-owned data.  ``finish``
-    completes the scatter side, filling the ghost rows.  Between
-    ``relay`` and ``finish`` the receive queues fill while the caller
-    computes on owned data — the communication/computation overlap
-    window of the persistent operator.
-    """
+class ApplyExchange(OwnerExchange):
+    """One apply's in-flight exchange of source densities (``phi``,
+    concatenated) and partial upward equivalent densities (``pue``,
+    summed — linearity of eq. 2.1/2.3)."""
 
     def __init__(
         self,
@@ -363,222 +412,41 @@ class ApplyExchange:
         ext_phi: np.ndarray,
         timer: PhaseTimer,
     ) -> None:
-        self._comm = comm
-        self._layout = layout
-        self._phi_sorted = phi_sorted
-        self._src_start = src_start
-        self._src_stop = src_stop
-        self._ue = ue
-        self._ext_phi = ext_phi
-        self._timer = timer
-        #: Race-detector hook: the per-rank recorder installed by
-        #: ``run_spmd(race=...)``, or None on uninstrumented runs.
-        self._rec = current_recorder()
-        # Flat-scheme state: owner-side gathers and user-side scatters.
-        self._gathers: list[tuple[ExchangePlan, int, list[Request],
-                                  bool, list[int], bool]] = []
-        self._scatters: list[tuple[ExchangePlan, int, Request]] = []
-        # Tree-scheme state: interior/root gather nodes, non-root
-        # scatter nodes, and the scatter roots' (children, self_uses).
-        self._gnodes: list[tuple[ExchangePlan, int, int | None,
-                                 list[Request], bool]] = []
-        self._snodes: list[tuple[ExchangePlan, int, Request,
-                                 list[int], bool]] = []
-        self._sroots: dict[tuple[str, int], tuple[list[int], bool]] = {}
+        rec = current_recorder()
 
-    def _combiner(self, plan: ExchangePlan):
-        """Pairwise combiner: concatenation for phi, summation for pue."""
-        if plan.kind == "phi":
-            return lambda a, c: np.vstack([a, c])
-        return lambda a, c: a + c
-
-    def _finalize(self, plan: ExchangePlan, total, npieces: int):
-        """Owner-side combined data: guard the empty box, and copy when
-        the binomial fold degenerated to a single piece so the combined
-        array is always freshly allocated (the single piece may be a
-        view of ``phi_sorted`` or a peer's buffer)."""
-        if total is None:
-            return np.empty((0, self._phi_sorted.shape[1]))
-        return total.copy() if npieces == 1 else total
-
-    def _piece(self, plan: ExchangePlan, b: int) -> np.ndarray:
-        """This rank's local contribution to box ``b``.
-
-        Equivalent-density rows are copied: the simulated MPI passes
-        object references, and ``_store`` later overwrites ``ue[b]``
-        with the *global* densities — an uncopied row view would let a
-        slow receiver observe the mutated value.  ``phi`` slices are
-        never written during an apply, so they ship as views.
-        """
-        if plan.kind == "phi":
-            piece = self._phi_sorted[self._src_start[b]:self._src_stop[b]]
-            if self._rec is not None:
-                self._rec.read(piece, f"piece:phi box {b}")
+        def phi_piece(b: int) -> np.ndarray:
+            # phi slices are never written during an apply: ship views.
+            piece = phi_sorted[src_start[b]:src_stop[b]]
+            if rec is not None:
+                rec.read(piece, f"piece:phi box {b}")
             return piece
-        if self._rec is not None:
-            self._rec.read(self._ue[b], f"piece:pue box {b}")
-        return self._ue[b].copy()
 
-    def _store(self, plan: ExchangePlan, b: int, data: np.ndarray) -> None:
-        """Place combined data for a used box into the apply arrays."""
-        if self._rec is not None:
-            self._rec.read(data, f"store:recv box {b}")
-        if plan.kind == "phi":
-            lay = self._layout
-            dst = self._ext_phi[lay.ext_start[b]:lay.ext_stop[b]]
-            if self._rec is not None:
-                self._rec.write(dst, f"store:ghost-phi box {b}")
+        def pue_piece(b: int) -> np.ndarray:
+            # Copied: the simulated MPI passes object references, and
+            # the store later overwrites ue[b] with the *global*
+            # densities — an uncopied row view would let a slow
+            # receiver observe the mutated value.
+            if rec is not None:
+                rec.read(ue[b], f"piece:pue box {b}")
+            return ue[b].copy()
+
+        def phi_store(b: int, data: np.ndarray) -> None:
+            dst = ext_phi[layout.ext_start[b]:layout.ext_stop[b]]
+            if rec is not None:
+                rec.read(data, f"store:recv box {b}")
+                rec.write(dst, f"store:ghost-phi box {b}")
             dst[...] = data
-        else:
-            if self._rec is not None:
-                self._rec.write(self._ue[b], f"store:global-ue box {b}")
-            self._ue[b] = data
 
-    def start(self) -> "ApplyExchange":
-        """Post every send and receive of both sub-exchanges.
+        def pue_store(b: int, data: np.ndarray) -> None:
+            if rec is not None:
+                rec.read(data, f"store:recv box {b}")
+                rec.write(ue[b], f"store:global-ue box {b}")
+            ue[b] = data
 
-        Flat scheme: contributors ship their pieces to the owner and
-        users post a receive from the owner.  Tree scheme: every node
-        posts receives from its gather children and its scatter parent;
-        gather *leaves* ship their piece immediately so interior nodes
-        can start folding during the overlap window.
-        """
-        comm = self._comm
-        with self._timer.phase("pack"):
-            for plan in (self._layout.phi, self._layout.pue):
-                gphase, sphase = f"{plan.kind}_gather", f"{plan.kind}_scatter"
-                if plan.scheme == "tree":
-                    for b, parent, children, selfc in plan.gather:
-                        reqs = [
-                            comm.irecv(r, tag=mk_tag(plan.kind, b), phase=gphase)
-                            for r in children
-                        ]
-                        if parent is not None and not children:
-                            comm.isend(
-                                parent, self._piece(plan, b),
-                                tag=mk_tag(plan.kind, b), phase=gphase,
-                            )
-                        else:
-                            self._gnodes.append((plan, b, parent, reqs, selfc))
-                    for b, parent, children, selfu in plan.scatter:
-                        if parent is None:
-                            self._sroots[(plan.kind, b)] = (children, selfu)
-                        else:
-                            req = comm.irecv(
-                                parent, tag=mk_tag(plan.kind + "g", b), phase=sphase
-                            )
-                            self._snodes.append((plan, b, req, children, selfu))
-                    continue
-                for b, o in plan.send_to_owner:
-                    comm.isend(o, self._piece(plan, b), tag=mk_tag(plan.kind, b),
-                               phase=gphase)
-                for b, peers_c, selfc, peers_u, selfu in plan.owned:
-                    reqs = [
-                        comm.irecv(r, tag=mk_tag(plan.kind, b), phase=gphase)
-                        for r in peers_c
-                    ]
-                    self._gathers.append(
-                        (plan, b, reqs, selfc, peers_u, selfu)
-                    )
-                for b, o in plan.recv_from:
-                    self._scatters.append(
-                        (plan, b,
-                         comm.irecv(o, tag=mk_tag(plan.kind + "g", b), phase=sphase))
-                    )
-        return self
-
-    def relay(self) -> None:
-        """Complete gathers, reduce, and launch the scatter.
-
-        Flat scheme: the owner folds the contributor pieces — laid out
-        in tree-position order — with :func:`combine_tree` and sends the
-        combined data to every user.  Tree scheme: interior gather nodes
-        fold their subtree (own piece first, then children in
-        ascending-mask order — the identical association) and forward
-        the partial upward; the root finalizes and feeds the scatter
-        tree.  Both folds are bitwise identical by construction.
-
-        The tree scheme must wait, fold and forward *per node*, in the
-        (kind, box) order every rank shares — never wait all nodes'
-        children before forwarding any accumulation.  Two ranks can
-        each be an interior gather node in a box the *other* is a child
-        of (first possible once gather trees reach four participants,
-        i.e. at large rank counts); under wait-all-then-forward each
-        rank's forward is program-ordered behind its wait for the
-        other's forward — a deadlock cycle.  With the shared ascending
-        order, a node's forward for box ``b`` waits only on ``b``'s own
-        subtree and on boxes strictly earlier in the shared order, so
-        every wait chain is well-founded.  The static verifier
-        (``repro commir``) checks exactly this property at P=4096.
-        """
-        comm = self._comm
-        with self._timer.phase("wait"):
-            for plan, b, parent, reqs, selfc in self._gnodes:
-                child_pieces = [r.wait() for r in reqs]
-                if self._rec is not None:
-                    # Child pieces arrive by reference: reading them is
-                    # a cross-rank access on the sender's arrays,
-                    # ordered by the gather message.
-                    for p in child_pieces:
-                        self._rec.read(p, f"relay:piece box {b}")
-                combine = self._combiner(plan)
-                acc = self._piece(plan, b) if selfc else None
-                npieces = (1 if selfc else 0) + len(child_pieces)
-                for p in child_pieces:
-                    acc = p if acc is None else combine(acc, p)
-                if parent is not None:
-                    # Interior node: forward the partial fold upward.
-                    if self._rec is not None:
-                        self._rec.write(acc, f"relay:partial box {b}")
-                    comm.isend(parent, acc, tag=mk_tag(plan.kind, b),
-                               phase=f"{plan.kind}_gather")
-                    continue
-                data = self._finalize(plan, acc, npieces)
-                if self._rec is not None:
-                    self._rec.write(data, f"relay:combine box {b}")
-                s_children, selfu = self._sroots[(plan.kind, b)]
-                for r in s_children:
-                    comm.isend(r, data, tag=mk_tag(plan.kind + "g", b),
-                               phase=f"{plan.kind}_scatter")
-                if selfu:
-                    self._store(plan, b, data)
-            for plan, b, reqs, selfc, peers_u, selfu in self._gathers:
-                peer_pieces = [r.wait() for r in reqs]
-                if self._rec is not None:
-                    for p in peer_pieces:
-                        self._rec.read(p, f"relay:piece box {b}")
-                pieces = [
-                    self._piece(plan, b) if selfc else None
-                ] + peer_pieces
-                total = combine_tree(pieces, self._combiner(plan))
-                data = self._finalize(
-                    plan, total, sum(p is not None for p in pieces)
-                )
-                if self._rec is not None:
-                    self._rec.write(data, f"relay:combine box {b}")
-                for r in peers_u:
-                    comm.isend(r, data, tag=mk_tag(plan.kind + "g", b),
-                               phase=f"{plan.kind}_scatter")
-                if selfu:
-                    self._store(plan, b, data)
-
-    def finish(self) -> None:
-        """Complete the scatter side: fill the ghost rows.
-
-        Tree scheme: non-root scatter nodes receive the combined data
-        from their parent, forward it to their scatter children, and
-        store their own ghost rows.
-        """
-        comm = self._comm
-        with self._timer.phase("wait"):
-            for plan, b, req, children, selfu in self._snodes:
-                data = req.wait()
-                if self._rec is not None:
-                    self._rec.read(data, f"finish:recv box {b}")
-                for r in children:
-                    comm.isend(r, data, tag=mk_tag(plan.kind + "g", b),
-                               phase=f"{plan.kind}_scatter")
-                if selfu:
-                    self._store(plan, b, data)
-            for plan, b, req in self._scatters:
-                self._store(plan, b, req.wait())
+        width = phi_sorted.shape[1]
+        super().__init__(comm, [
+            Payload(layout.phi, phi_piece, lambda a, c: np.vstack([a, c]),
+                    phi_store, width),
+            Payload(layout.pue, pue_piece, lambda a, c: a + c,
+                    pue_store, width),
+        ], timer)

@@ -46,6 +46,7 @@ from repro.core.plan import ExecutionPlan, build_plan
 from repro.core.precompute import OperatorCache
 from repro.kernels.base import Kernel
 from repro.octree.lists import InteractionLists, build_lists
+from repro.octree.tree import require_finite
 from repro.parallel.exchange import (
     ApplyExchange,
     GhostLayout,
@@ -89,7 +90,9 @@ def _global_root(
     The driver holds the full point set, so it can compute the cube the
     ranks would have agreed on collectively (elementwise min/max commute
     with the Allreduce) and share one operator cache across ranks.
+    Non-finite coordinates are rejected here, before any rank starts.
     """
+    require_finite(points, "source")
     lo, hi = points.min(axis=0), points.max(axis=0)
     side = float((hi - lo).max())
     side = side * (1.0 + pad) if side > 0 else 1.0
@@ -496,9 +499,9 @@ def run_parallel_fmm(
         np.asarray(density, dtype=np.float64),
         points.shape[0], src_k.source_dof,
     )
+    corner, side = _global_root(points)
     parts = partition_points(points, nranks)
     timers = [PhaseTimer() for _ in range(nranks)]
-    corner, side = _global_root(points)
     shared_cache = cache if cache is not None else OperatorCache(
         kernel, opts.p, side,
         inner=opts.inner, outer=opts.outer, rcond=opts.rcond,

@@ -13,15 +13,14 @@ messages per call instead of the O(P) fan-in of a flat root-style
 reduce — the tree-top pattern the paper needs at thousands of ranks.
 Every internal message is a first-class traced/accounted send, so the
 commcheck/racecheck analyzers certify the collectives like any other
-traffic.  The segmented variants :meth:`SimComm.tree_reduce` /
-:meth:`SimComm.tree_bcast` run the same binomial pattern over an
-arbitrary rank *subset* rooted at a chosen rank (the owner of a box, in
-the exchange layer) without any global synchronisation.
+traffic.  The segmented :meth:`SimComm.tree_bcast` runs the same
+binomial pattern over an arbitrary rank *subset* rooted at a chosen
+rank (the coarse-split broadcast) without any global synchronisation.
 
-The binomial association is fixed (``_combine_tree`` reproduces it
+The binomial association is fixed (:func:`combine_tree` reproduces it
 locally), so reduction results are bitwise independent of the thread
-schedule, and a flat code path that combines the same pieces with
-:func:`combine_tree` matches the message-passing path bit for bit.
+schedule; the owner exchange (:mod:`repro.parallel.exchange`) folds
+with the same helper along any tree shape.
 
 This is the DESIGN.md substitution for the paper's MPI/Quadrics stack:
 the algorithm exchanges real messages between ranks, only the transport
@@ -203,8 +202,6 @@ class CommStats:
     bcast_bytes: int = 0
     reduce_scatter_calls: int = 0
     reduce_scatter_bytes: int = 0
-    tree_reduce_calls: int = 0
-    tree_reduce_bytes: int = 0
     tree_bcast_calls: int = 0
     tree_bcast_bytes: int = 0
     #: Wall seconds this rank spent blocked waiting for messages (the
@@ -241,10 +238,6 @@ class CommStats:
         self.reduce_scatter_calls += 1
         self.reduce_scatter_bytes += nbytes
 
-    def record_tree_reduce(self, nbytes: int) -> None:
-        self.tree_reduce_calls += 1
-        self.tree_reduce_bytes += nbytes
-
     def record_tree_bcast(self, nbytes: int) -> None:
         self.tree_bcast_calls += 1
         self.tree_bcast_bytes += nbytes
@@ -258,7 +251,6 @@ class CommStats:
         "bytes_received", "allreduce_calls", "allreduce_bytes",
         "bcast_calls", "bcast_bytes",
         "reduce_scatter_calls", "reduce_scatter_bytes",
-        "tree_reduce_calls", "tree_reduce_bytes",
         "tree_bcast_calls", "tree_bcast_bytes",
         "recv_wait_seconds",
     )
@@ -372,10 +364,10 @@ def combine_tree(values: list, combine: Callable[[Any, Any], Any]):
     """Combine ``values`` (indexed by tree position) with the *exact*
     association of the binomial-tree message pattern.
 
-    ``None`` entries mark absent contributions and are skipped.  A flat
-    communication path that gathers the same pieces and folds them with
-    this helper is bitwise identical to the hierarchical path, which is
-    how the exchange layer keeps its two schemes interchangeable.
+    ``None`` entries mark absent contributions and are skipped.  Every
+    node of the owner exchange folds with this helper at its children's
+    relative positions, which is how the exchange keeps its two tree
+    shapes bitwise interchangeable.
     """
     vals = list(values)
     n = len(vals)
@@ -741,55 +733,6 @@ class SimComm:
             self._coll_clock_sync("reduce_scatter")
         return out
 
-    def tree_reduce(
-        self,
-        value: Any,
-        root: int,
-        ranks: Iterable[int],
-        tag: Any,
-        combine: Callable[[Any, Any], Any] | None = None,
-        phase: str | None = None,
-    ) -> Any:
-        """Segmented binomial reduction over a rank *subset*.
-
-        Every rank in ``ranks`` (plus ``root``) calls this with its
-        contribution (``None`` for a participant with nothing to add —
-        e.g. a box owner that holds no local data); the combined value
-        is returned at ``root`` and ``None`` everywhere else.  The
-        association is the fixed binomial-tree order of
-        :func:`combine_tree`, so the result is bitwise identical to a
-        flat gather folded with that helper.
-
-        This is deliberately *not* a global collective: participation
-        is data dependent (keyed by box owner in the exchange layer),
-        so no collective trace events are emitted — the internal
-        messages are ordinary traced sends on the caller's ``tag``.
-        Callers must invoke per-key reductions in the same key order on
-        every participant (the exchange iterates boxes ascending).
-        """
-        order = tree_order(ranks, root)
-        n = len(order)
-        pos = order.index(self.rank)  # ValueError for a non-participant
-        if combine is None:
-            combine = _ALLREDUCE_OPS["sum"]
-        self.stats.record_tree_reduce(0)
-        acc = value
-        mask = 1
-        while mask < n:
-            if pos & mask:
-                self.stats.tree_reduce_bytes += _payload_bytes(acc)
-                self.send(order[pos - mask], acc, tag=tag, phase=phase)
-                return None
-            child = pos + mask
-            if child < n:
-                piece = self.recv(order[child], tag=tag, phase=phase)
-                if acc is None:
-                    acc = piece
-                elif piece is not None:
-                    acc = combine(acc, piece)
-            mask <<= 1
-        return acc
-
     def tree_bcast(
         self,
         value: Any,
@@ -798,10 +741,15 @@ class SimComm:
         tag: Any,
         phase: str | None = None,
     ) -> Any:
-        """Segmented binomial broadcast over a rank subset (see
-        :meth:`tree_reduce` for the participation contract).
+        """Segmented binomial broadcast over a rank *subset*.
 
-        Interior participants forward the payload *by reference*, so
+        Every rank in ``ranks`` (plus ``root``) calls this; the root's
+        ``value`` is returned everywhere.  This is deliberately *not* a
+        global collective: participation is data dependent, so no
+        collective trace events are emitted — the internal messages are
+        ordinary traced sends on the caller's ``tag``.  Callers must
+        invoke per-key broadcasts in the same key order on every
+        participant.  Interior participants forward the payload *by reference*, so
         the returned object must be treated as read-only on every rank
         except ``root``.
         """

@@ -81,6 +81,16 @@ class TestExtraction:
         )
         assert two.nops() == 2 * one.nops()
 
+    def test_two_ranks_shapes_coincide(self, cloud):
+        """At P=2 every box has at most two participants, where the star
+        and the binomial tree are the same tree: one emitter gives
+        op-for-op identical programs for both schemes."""
+        inputs = static_plan_inputs(cloud, 2, OPTS)
+        tree = extract_comm_ir(inputs, scheme="tree", napplies=2)
+        flat = extract_comm_ir(inputs, scheme="flat", napplies=2)
+        assert tree.nmessages() > 0
+        assert tree.programs == flat.programs
+
     def test_unknown_scheme_rejected(self, cloud):
         inputs = static_plan_inputs(cloud, 2, OPTS)
         with pytest.raises(ValueError, match="scheme"):

@@ -191,16 +191,21 @@ class TestOrderedAccesses:
 
 
 class TestRealParallelApply:
+    @pytest.mark.parametrize("comm", ["tree", "flat"])
     @pytest.mark.parametrize("overlap", [True, False], ids=["on", "off"])
-    def test_overlapped_apply_certifies_race_free(self, rng, overlap):
-        """The tentpole certification: 4 ranks, 2 applies, real tree."""
+    def test_overlapped_apply_certifies_race_free(self, rng, overlap, comm):
+        """The tentpole certification: 4 ranks, 2 applies, real tree.
+
+        Under ``comm="flat"`` the star root forwards the combined data
+        by reference to every user, a different aliasing pattern from
+        the binomial relay."""
         pts = clustered_cloud(rng, 500)
         density = rng.random(500)
         det = RaceDetector()
         trace = CommTrace()
         result = run_parallel_fmm(
             4, LaplaceKernel(), pts, density,
-            FMMOptions(p=4, max_points=30),
+            FMMOptions(p=4, max_points=30, comm=comm),
             trace=trace, race=det, overlap=overlap, napplies=2,
         )
         report = det.report()

@@ -5,12 +5,23 @@ import time
 import numpy as np
 import pytest
 
+from repro.parallel.exchange import (
+    EXCHANGE_SCHEMES,
+    OwnerExchange,
+    Payload,
+    build_exchange_plan,
+    exchange_edges,
+    fold_subtree,
+)
 from repro.parallel.simmpi import (
     CommStats,
     MailboxLeakError,
     PerRank,
+    combine_tree,
     run_spmd,
+    tree_order,
 )
+from repro.util.timing import PhaseTimer
 
 
 class TestPointToPoint:
@@ -192,61 +203,107 @@ class TestCollectives:
 
     @pytest.mark.parametrize("nranks,root", [(1, 0), (4, 2), (7, 5)])
     def test_tree_reduce_and_bcast_subset(self, nranks, root):
-        from repro.parallel.simmpi import combine_tree
-
-        def main(comm):
-            parts = [r for r in range(comm.size) if r != 1 or comm.size < 3]
-            if comm.rank not in parts and comm.rank != root:
-                return None
-            mine = np.full(2, float(comm.rank + 1))
-            total = comm.tree_reduce(mine, root, parts, tag="tr")
-            got = comm.tree_bcast(total, root, parts, tag="tb")
-            return np.array(got)
-
-        results = run_spmd(nranks, main)
-        parts = sorted({r for r in range(nranks) if r != 1 or nranks < 3} | {root})
-        expected = combine_tree(
-            [np.full(2, float(r + 1)) for r in parts], lambda a, b: a + b
+        """Segmented reduction over a rank subset (the owner exchange)
+        followed by the segmented broadcast back to the subset."""
+        parts = sorted(
+            {r for r in range(nranks) if r != 1 or nranks < 3} | {root}
         )
-        for r in range(nranks):
-            if r in parts:
-                assert np.array_equal(results[r], expected)
-            else:
-                assert results[r] is None
+        expected = combine_tree(
+            [np.full(2, float(r + 1)) for r in tree_order(parts, root)],
+            lambda a, b: a + b,
+        )
+        for scheme in EXCHANGE_SCHEMES:
+            def main(comm):
+                total = engine_reduce(
+                    comm, parts, root,
+                    lambda r: np.full(2, float(r + 1)), scheme,
+                )
+                if comm.rank not in parts:
+                    return None
+                return np.array(
+                    comm.tree_bcast(total, root, parts, tag="tb")
+                )
+
+            results = run_spmd(nranks, main)
+            for r in range(nranks):
+                if r in parts:
+                    assert np.array_equal(results[r], expected)
+                else:
+                    assert results[r] is None
 
     def test_tree_reduce_matches_combine_tree_bitwise(self):
-        """The message-passing reduction and the local simulation use
-        the identical association — bit-for-bit, not just to roundoff."""
-        from repro.parallel.simmpi import combine_tree, tree_order
-
+        """Every exchange-tree node folds its children's partials at
+        their relative positions; for the binomial tree and the star
+        alike this is :func:`combine_tree` over the whole layout — bit
+        for bit, not just to roundoff — and so is the engine's
+        message-passing reduction."""
         root = 3
-        parts = [0, 2, 3, 4, 6]
+        parts = [0, 2, 3, 4, 5, 6]
+        order = tree_order(parts, root)
 
-        def main(comm):
-            if comm.rank not in parts:
-                return None
-            rng = np.random.default_rng(comm.rank)
-            mine = rng.standard_normal(5)
-            return comm.tree_reduce(mine, root, parts, tag="x")
+        def piece(r):
+            # Cancelling magnitudes: the sum depends on the association.
+            rng = np.random.default_rng(r)
+            return rng.standard_normal(5) + (1e16 if r % 2 else -1e16)
 
-        results = run_spmd(7, main)
-        pieces = [
-            np.random.default_rng(r).standard_normal(5)
-            for r in tree_order(parts, root)
-        ]
-        expected = combine_tree(pieces, lambda a, b: a + b)
-        assert np.array_equal(results[root], expected)
-        assert all(results[r] is None for r in parts if r != root)
+        def add(a, b):
+            return a + b
+
+        vals = [piece(r) for r in order]
+        expected = combine_tree(vals, add)
+        sequential = vals[0]
+        for v in vals[1:]:
+            sequential = sequential + v
+        assert not np.array_equal(expected, sequential)
+
+        for scheme in EXCHANGE_SCHEMES:
+            def subtree(pos):
+                _, kids = exchange_edges(order, pos, scheme)
+                return fold_subtree(
+                    vals[pos], [subtree(c) for c in kids],
+                    [c - pos for c in kids], add,
+                )
+
+            assert np.array_equal(subtree(0), expected)
+            results = run_spmd(
+                7, lambda comm: engine_reduce(comm, parts, root, piece, scheme)
+            )
+            assert np.array_equal(results[root], expected)
+            assert all(results[r] is None for r in range(7) if r != root)
 
     def test_tree_reduce_none_contribution(self):
         """A root that holds no local piece still collects the total."""
+        for scheme in EXCHANGE_SCHEMES:
+            results = run_spmd(4, lambda comm: engine_reduce(
+                comm, [1, 2, 3], 0, lambda r: np.array([float(r)]), scheme,
+            ))
+            assert results[0] == np.array([6.0])
 
-        def main(comm):
-            mine = None if comm.rank == 0 else np.array([float(comm.rank)])
-            return comm.tree_reduce(mine, 0, range(comm.size), tag="n")
 
-        results = run_spmd(4, main)
-        assert results[0] == np.array([6.0])
+def engine_reduce(comm, contributors, root, piece, scheme):
+    """Sum ``piece(rank)`` over ``contributors`` at ``root`` through the
+    owner exchange engine (one box, gathered to the root only).
+
+    Returns the total at ``root`` and ``None`` on every other rank.
+    """
+    contrib = np.zeros((comm.size, 1), dtype=bool)
+    contrib[list(contributors), 0] = True
+    users = np.zeros_like(contrib)
+    users[root, 0] = True
+    plan = build_exchange_plan(
+        "pue", comm.rank, np.arange(1), contrib, users, np.array([root]),
+        scheme,
+    )
+    out = {}
+    exch = OwnerExchange(
+        comm,
+        [Payload(plan, lambda b: piece(comm.rank), lambda a, c: a + c,
+                 out.__setitem__, 1)],
+        PhaseTimer(),
+    ).start()
+    exch.relay()
+    exch.finish()
+    return out.get(0)
 
 
 class TestRunner:

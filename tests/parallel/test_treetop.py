@@ -34,8 +34,29 @@ def clustered_points(n_per_corner: int, rng) -> np.ndarray:
     return np.vstack([a, b])
 
 
+def max_pue_gather(pts, nranks) -> int:
+    """Participants (contributors and owner) of the largest ``pue``
+    gather tree: a star root's children are all the others."""
+    opts = FMMOptions(p=4, max_points=20, comm="flat")
+    chunks = partition_points(pts, nranks)
+    states = run_spmd(nranks, lambda comm: pfmm.rank_setup(
+        comm, LaplaceKernel(), pts[chunks[comm.rank]], opts
+    ))
+    return max(
+        1 + len(node.children)
+        for st in states for node in st.layout.pue.gather
+        if node.parent is None
+    )
+
+
 class TestCommSchemeParity:
-    """comm="tree" and comm="flat" must agree to the bit."""
+    """comm="tree" and comm="flat" must agree to the bit.
+
+    Star and binomial trees only associate a fold differently once a box
+    has three or more gather participants.  The two-cluster workload has
+    such a box from 8 ranks on (at 4 ranks each cluster spans only two),
+    so the 8-rank cases assert it before comparing.
+    """
 
     @pytest.mark.parametrize("nranks", [1, 2, 4, 8])
     @pytest.mark.parametrize("overlap", [True, False])
@@ -43,6 +64,8 @@ class TestCommSchemeParity:
         pts = clustered_points(150, rng)
         dens = rng.standard_normal(len(pts))
         kern = LaplaceKernel()
+        if nranks >= 8:
+            assert max_pue_gather(pts, nranks) >= 3
         out = {}
         for scheme in ("tree", "flat"):
             opts = FMMOptions(p=4, max_points=20, comm=scheme)
@@ -60,11 +83,12 @@ class TestCommSchemeParity:
             if nrhs == 1
             else rng.standard_normal((len(pts), kern.source_dof, nrhs))
         )
+        assert max_pue_gather(pts, 8) >= 3
         out = {}
         for scheme in ("tree", "flat"):
             opts = FMMOptions(p=4, max_points=20, comm=scheme)
             out[scheme] = run_parallel_fmm(
-                4, kern, pts, dens, opts
+                8, kern, pts, dens, opts
             ).potential
         assert np.array_equal(out["tree"], out["flat"])
 
